@@ -21,7 +21,7 @@ from .graphs import (
     write_edge_list,
 )
 from .load import compute_load, load_stats, write_load_csv
-from .sim import SimConfig, run as run_sim
+from .sim import SimConfig, SimMetrics, run as run_sim
 from .traffic import (
     ErramilliParams,
     ErramilliSource,
@@ -131,6 +131,9 @@ _PLAN_KEYS = {
     "out": ("out", str),
 }
 
+# Plan keys that `sweep` takes as flags; calib_tol is set in a config file only.
+_SWEEP_FLAGS = [key for key in _PLAN_KEYS if key != "calib_tol"]
+
 
 def parse_plan(text: str, overrides: dict[str, str] | None = None) -> ExperimentPlan:
     """Build a plan from `key = value` config text, then apply flag overrides.
@@ -202,6 +205,17 @@ def run_fig12_sweep(plan: ExperimentPlan, progress=None) -> tuple[list[dict], li
     return rows, avg
 
 
+def _metrics_columns(metrics: SimMetrics) -> dict:
+    """The simulation columns shared by the fig34 and `run` rows."""
+    return {
+        "generated": metrics.generated,
+        "delivered": metrics.delivered,
+        "mean_delivery_time": metrics.mean_delivery_time,
+        "in_flight": metrics.in_flight_at_end,
+        "max_queue": metrics.max_queue,
+    }
+
+
 def run_fig34_sweep(
     plan: ExperimentPlan, progress=None
 ) -> tuple[list[dict], list[dict], list[dict]]:
@@ -259,11 +273,7 @@ def run_fig34_sweep(
                     "cpl": cpl,
                     "load_mean": stats.mean,
                     "load_nstd": stats.normalized_std,
-                    "generated": metrics.generated,
-                    "delivered": metrics.delivered,
-                    "mean_delivery_time": metrics.mean_delivery_time,
-                    "in_flight": metrics.in_flight_at_end,
-                    "max_queue": metrics.max_queue,
+                    **_metrics_columns(metrics),
                 })
     metric_cols = [c for c in FIG34_COLUMNS if c not in ("alpha", "gamma", "lambda", "seed")]
     avg = average_records(rows, ["alpha", "gamma", "lambda"], metric_cols)
@@ -360,18 +370,21 @@ def _cmd_load(args) -> int:
     return 0
 
 
+def _resolve_d(args) -> tuple[float, float]:
+    """Threshold d from --d, or calibrated to --target-lambda; also the
+    target rate (nan for --d)."""
+    if args.d is not None:
+        return args.d, float("nan")
+    d = calibrate_d(
+        args.m1, args.m2, args.target_lambda, tol=args.tol, seed=_CALIBRATION_SEED
+    )
+    return d, args.target_lambda
+
+
 def _cmd_traffic(args) -> int:
-    if args.d is None and args.target_lambda is None:
-        raise ValidationError("need --d or --target-lambda")
-    if args.d is not None and args.target_lambda is not None:
-        raise ValidationError("--d and --target-lambda are mutually exclusive")
+    d, _ = _resolve_d(args)
     if args.target_lambda is not None:
-        d = calibrate_d(
-            args.m1, args.m2, args.target_lambda, tol=args.tol, seed=_CALIBRATION_SEED
-        )
         print(f"d={d!r}")
-    else:
-        d = args.d
     params = ErramilliParams(args.m1, args.m2, d)
     if args.estimate_rate:
         rate = estimate_rate(params, seed=args.seed)
@@ -392,8 +405,7 @@ def _cmd_traffic(args) -> int:
     return 0
 
 
-def _make_run_config(args):
-    """Shared topology + traffic setup for the `run` subcommand."""
+def _cmd_run(args) -> int:
     if args.edges:
         g, meta = read_edge_list(args.edges)
         alpha = meta.get("alpha", float("nan"))
@@ -404,16 +416,7 @@ def _make_run_config(args):
         params = GenParams.from_avg_degree(args.n, args.avg_degree, alpha, args.seed)
         g = generate_static_model(params)
     g, _ = giant_component(g)
-    if args.d is None and args.target_lambda is None:
-        raise ValidationError("need --d or --target-lambda")
-    if args.target_lambda is not None:
-        d = calibrate_d(
-            args.m1, args.m2, args.target_lambda, tol=args.tol, seed=_CALIBRATION_SEED
-        )
-        lam = args.target_lambda
-    else:
-        d = args.d
-        lam = float("nan")
+    d, lam = _resolve_d(args)
     config = SimConfig(
         graph=g,
         rho=args.rho,
@@ -422,11 +425,6 @@ def _make_run_config(args):
         measure_steps=args.steps,
         seed=args.seed,
     )
-    return config, alpha, lam
-
-
-def _cmd_run(args) -> int:
-    config, alpha, lam = _make_run_config(args)
     metrics = run_sim(config)
     gamma = gamma_of_alpha(alpha) if not math.isnan(alpha) else float("nan")
     row = {
@@ -434,18 +432,13 @@ def _cmd_run(args) -> int:
         "gamma": gamma,
         "lambda": lam,
         "seed": args.seed,
-        "generated": metrics.generated,
-        "delivered": metrics.delivered,
-        "mean_delivery_time": metrics.mean_delivery_time,
-        "in_flight": metrics.in_flight_at_end,
-        "max_queue": metrics.max_queue,
+        **_metrics_columns(metrics),
     }
-    text = ",".join(RUN_COLUMNS) + "\n" + ",".join(_fmt(row[c]) for c in RUN_COLUMNS)
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
+        emit_csv([row], args.out, RUN_COLUMNS)
     else:
-        print(text)
+        print(",".join(RUN_COLUMNS))
+        print(",".join(_fmt(row[c]) for c in RUN_COLUMNS))
     if args.queue_series:
         with open(args.queue_series, "w") as f:
             f.write("step,total_queued\n")
@@ -461,14 +454,7 @@ def _cmd_sweep(args) -> int:
         with open(args.config) as f:
             text = f.read()
     overrides = {
-        key: getattr(args, dest)
-        for key, dest in [
-            ("n", "n"), ("avg_degree", "avg_degree"), ("alphas", "alphas"),
-            ("lambdas", "lambdas"), ("seeds", "seeds"), ("rho", "rho"),
-            ("m1", "m1"), ("m2", "m2"), ("warmup", "warmup"), ("steps", "steps"),
-            ("out", "out"),
-        ]
-        if getattr(args, dest) is not None
+        key: getattr(args, key) for key in _SWEEP_FLAGS if getattr(args, key) is not None
     }
     plan = parse_plan(text, overrides)
     if not plan.out:
@@ -497,6 +483,16 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _add_source_args(p: argparse.ArgumentParser) -> None:
+    """Map exponents plus exactly one of --d / --target-lambda (see _resolve_d)."""
+    p.add_argument("--m1", type=float, default=2.0)
+    p.add_argument("--m2", type=float, default=2.0)
+    threshold = p.add_mutually_exclusive_group(required=True)
+    threshold.add_argument("--d", type=float)
+    threshold.add_argument("--target-lambda", type=float)
+    p.add_argument("--tol", type=float, default=0.01)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="netqsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -518,11 +514,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_load)
 
     p = sub.add_parser("traffic", help="bit traces, rate estimation, calibration")
-    p.add_argument("--m1", type=float, default=2.0)
-    p.add_argument("--m2", type=float, default=2.0)
-    p.add_argument("--d", type=float)
-    p.add_argument("--target-lambda", type=float)
-    p.add_argument("--tol", type=float, default=0.01)
+    _add_source_args(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bits", type=int)
     p.add_argument("--format", choices=["raw", "rle"], default="raw")
@@ -538,11 +530,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--edges", help="edge-list path (instead of generating)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rho", type=float, default=0.16)
-    p.add_argument("--m1", type=float, default=2.0)
-    p.add_argument("--m2", type=float, default=2.0)
-    p.add_argument("--d", type=float)
-    p.add_argument("--target-lambda", type=float)
-    p.add_argument("--tol", type=float, default=0.01)
+    _add_source_args(p)
     p.add_argument("--warmup", type=int, default=1000)
     p.add_argument("--steps", type=int, default=10_000)
     p.add_argument("--queue-series", help="write step,total_queued CSV here")
@@ -552,17 +540,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="figure-dataset sweeps over (alpha, lambda, seed)")
     p.add_argument("--kind", choices=["fig12", "fig34"], required=True)
     p.add_argument("--config", help="key = value plan file")
-    p.add_argument("--n")
-    p.add_argument("--avg-degree", dest="avg_degree")
-    p.add_argument("--alphas")
-    p.add_argument("--lambdas")
-    p.add_argument("--seeds")
-    p.add_argument("--rho")
-    p.add_argument("--m1")
-    p.add_argument("--m2")
-    p.add_argument("--warmup")
-    p.add_argument("--steps")
-    p.add_argument("--out")
+    for key in _SWEEP_FLAGS:
+        p.add_argument("--" + key.replace("_", "-"), dest=key)
     p.set_defaults(func=_cmd_sweep)
     return parser
 
@@ -574,10 +553,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # -h/--help
         return int(exc.code or 0)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # ParseError and ValidationError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - runtime failure exit code

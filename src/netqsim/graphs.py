@@ -241,9 +241,6 @@ class DistanceMatrix:
         """Nested-list view for tight lookup loops."""
         return self.dist.tolist()
 
-    def reachable(self, s: int, t: int) -> bool:
-        return bool(self.dist[s, t] != UNREACHABLE)
-
 
 def all_pairs_hop_distances(g: Graph) -> DistanceMatrix:
     """BFS hop counts between every vertex pair (scipy csgraph backend)."""
@@ -288,22 +285,30 @@ def write_edge_list(
 
 
 def read_edge_list(path: str) -> tuple[Graph, dict[str, float]]:
-    """Inverse of write_edge_list. Returns the graph and the header metadata."""
+    """Inverse of write_edge_list. Returns the graph and the header metadata.
+
+    A malformed line raises ValueError naming the path and the 1-based line.
+    """
     meta: dict[str, float] = {}
     edges: list[tuple[int, int]] = []
     with open(path) as f:
-        for raw in f:
+        for lineno, raw in enumerate(f, 1):
             line = raw.strip()
             if not line:
                 continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    if "=" in token:
-                        key, val = token.split("=", 1)
-                        meta[key] = float(val)
-                continue
-            u, v = line.split()
-            edges.append((int(u), int(v)))
+            try:
+                if line.startswith("#"):
+                    for token in line[1:].split():
+                        if "=" in token:
+                            key, val = token.split("=", 1)
+                            meta[key] = float(val)
+                else:
+                    u, v = line.split()
+                    edges.append((int(u), int(v)))
+            except ValueError:
+                raise ValueError(
+                    f"{path}, line {lineno}: malformed line {line!r}"
+                ) from None
     if "n" not in meta:
         raise ValueError(f"{path}: missing 'n=' header")
     return Graph(int(meta["n"]), edges), meta

@@ -20,8 +20,18 @@ from .graphs import UNREACHABLE, DistanceMatrix, Graph, all_pairs_hop_distances
 from .traffic import ErramilliParams, ErramilliSource
 
 
+# Steps per block of source bits in SimState.run_steps; bounds the spawn
+# lists a block holds, whatever the number of steps asked for.
+_BLOCK_STEPS = 1024
+
+
 class TooFewHosts(ValueError):
     """Host density resolves to fewer than two hosts."""
+
+
+class InvariantViolation(AssertionError):
+    """A per-step check of `check_invariants=True` failed. Raised, not
+    asserted, so that it also runs under `python -O`."""
 
 
 @dataclass(slots=True)
@@ -264,56 +274,71 @@ class SimState:
 
     def step(self) -> None:
         """Advance one time step (generation phase, then forwarding phase)."""
-        t = self.clock
-        if self.sources:
-            for h in self.hosts:
-                if self.sources[h].next_bit():
-                    self._spawn_random(h)
+        self.run_steps(1)
+
+    def run_steps(self, count: int) -> None:
+        """Advance `count` time steps, in blocks of at most _BLOCK_STEPS."""
+        for start in range(0, count, _BLOCK_STEPS):
+            self._run_block(min(_BLOCK_STEPS, count - start))
+
+    def _run_block(self, count: int) -> None:
+        """Advance `count` time steps.
+
+        Each source's bits for the block are drawn up front. A source owns
+        its RNG, so its stream is the same as one bit per step, and hosts
+        still spawn in ascending order within a step.
+        """
+        spawners: list[list[int]] = [[] for _ in range(count)]
+        for h, src in self.sources.items():
+            for t in np.flatnonzero(src.bits(count)).tolist():
+                spawners[t].append(h)
 
         adj = self._adj
         dist_rows = self._dist_rows
         counts = self.link_counts
         tie_rng = self._tie_rng
         proxy = self._proxy
-        for node in sorted(self._active):
-            pkt = self._pop_head(node)
-            dst = pkt.dst
-            k = _choose_position(adj[node], dist_rows[dst], counts[node], tie_rng)
-            counts[node][k] += 1
-            if pkt.src != node:
-                proxy[node] += 1
-            nxt = adj[node][k]
-            if nxt == dst:
-                pkt.delivered_at = t + 1
-                self.delivered_total += 1
-                self.in_flight -= 1
-                if self._measuring:
-                    self.delivered_window += 1
-                    self._delay_sum += pkt.delivered_at - pkt.created_at
-            else:
-                self._append(nxt, pkt)
+        for on_hosts in spawners:
+            t = self.clock
+            for h in on_hosts:
+                self._spawn_random(h)
 
-        self.clock = t + 1
-        self.queue_series.append(self.in_flight)
-        if self._check:
-            self._assert_invariants()
+            for node in sorted(self._active):
+                pkt = self._pop_head(node)
+                dst = pkt.dst
+                k = _choose_position(adj[node], dist_rows[dst], counts[node], tie_rng)
+                counts[node][k] += 1
+                if pkt.src != node:
+                    proxy[node] += 1
+                nxt = adj[node][k]
+                if nxt == dst:
+                    pkt.delivered_at = t + 1
+                    self.delivered_total += 1
+                    self.in_flight -= 1
+                    if self._measuring:
+                        self.delivered_window += 1
+                        self._delay_sum += pkt.delivered_at - pkt.created_at
+                else:
+                    self._append(nxt, pkt)
 
-    def run_steps(self, count: int) -> None:
-        for _ in range(count):
-            self.step()
+            self.clock = t + 1
+            self.queue_series.append(self.in_flight)
+            if self._check:
+                self._assert_invariants()
 
     def _assert_invariants(self) -> None:
         queued = sum(len(q) for q in self._queues)
-        assert queued == self.in_flight, "queue census disagrees with in-flight count"
-        assert (
-            self.generated_total == self.delivered_total + self.in_flight
-        ), "packet conservation violated"
+        if queued != self.in_flight:
+            raise InvariantViolation("queue census disagrees with in-flight count")
+        if self.generated_total != self.delivered_total + self.in_flight:
+            raise InvariantViolation("packet conservation violated")
         for pkt in self.packets:
             if pkt.delivered_at is not None:
                 lower = int(self.dmat.dist[pkt.src, pkt.dst])
-                assert pkt.delivered_at - pkt.created_at >= lower, (
-                    f"packet {pkt.id} beat the hop-distance lower bound"
-                )
+                if pkt.delivered_at - pkt.created_at < lower:
+                    raise InvariantViolation(
+                        f"packet {pkt.id} beat the hop-distance lower bound"
+                    )
 
     # -- inspection ----------------------------------------------------------
 

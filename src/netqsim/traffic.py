@@ -83,8 +83,7 @@ class ErramilliSource:
         elif not 0.0 < x0 < 1.0:
             raise ValueError("x0 must lie in (0, 1)")
         self.x = float(x0)
-        for _ in range(burn_in):
-            self.advance()
+        self._orbit(burn_in)
 
     def advance(self) -> float:
         """Apply the map once, reinjecting away from the endpoint traps."""
@@ -100,19 +99,20 @@ class ErramilliSource:
         """Advance once; 1 (On, a packet is generated) iff the orbit lands above d."""
         return 1 if self.advance() > self.params.d else 0
 
-    def bits(self, count: int) -> np.ndarray:
-        """Vector of `count` consecutive bits (uint8).
+    def _orbit(self, count: int) -> bytearray:
+        """Advance `count` times; byte i is the bit of the i-th new orbit point.
 
-        Inlines advance() for speed; the branch structure and RNG
-        consumption are identical, so the stream matches repeated
-        next_bit() calls bit for bit.
+        The one fast form of the map: advance() inlined, with the same
+        branches and RNG draws, so the bits equal repeated next_bit() calls.
+        Scalar `**` keeps it so; numpy's vectorised power differs in the
+        last bits, and the chaotic orbit amplifies that.
         """
         p = self.params
         d, m1, m2 = p.d, p.m1, p.m2
         omd = 1.0 - d
         hi = 1.0 - _ENDPOINT_EPS
         rand = self.rng.random
-        out = np.empty(count, dtype=np.uint8)
+        out = bytearray(count)
         x = self.x
         for i in range(count):
             if x <= d:
@@ -123,32 +123,20 @@ class ErramilliSource:
                 x = d + omd * rand()
             elif x <= _ENDPOINT_EPS:
                 x = d * rand()
-            out[i] = x > d
+            if x > d:
+                out[i] = 1
         self.x = x
         return out
 
+    def bits(self, count: int) -> np.ndarray:
+        """Vector of `count` consecutive bits (uint8), equal to as many
+        next_bit() calls."""
+        return np.frombuffer(self._orbit(count), dtype=np.uint8)
+
     def on_count(self, count: int) -> int:
-        """Number of On bits among the next `count` (no array materialized)."""
-        p = self.params
-        d, m1, m2 = p.d, p.m1, p.m2
-        omd = 1.0 - d
-        hi = 1.0 - _ENDPOINT_EPS
-        rand = self.rng.random
-        total = 0
-        x = self.x
-        for _ in range(count):
-            if x <= d:
-                x = x + omd * (x / d) ** m1
-            else:
-                x = x - d * ((1.0 - x) / omd) ** m2
-            if x >= hi:
-                x = d + omd * rand()
-            elif x <= _ENDPOINT_EPS:
-                x = d * rand()
-            if x > d:
-                total += 1
-        self.x = x
-        return total
+        """Number of On bits among the next `count`; the source advances
+        exactly as bits(count) would."""
+        return self._orbit(count).count(1)
 
 
 def estimate_rate(

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 from pathlib import Path
 
@@ -205,6 +206,9 @@ def test_traffic_flag_conflicts(capsys):
     assert main(["traffic", "--d", "0.5", "--target-lambda", "0.2"]) == 1
     assert main(["traffic", "--m1", "1.7"]) == 1
     assert main(["traffic", "--d", "0.5", "--hurst"]) == 1
+    run_flags = ["run", "--n", "30", "--avg-degree", "2", "--alpha", "0", "--steps", "10"]
+    assert main(run_flags + ["--d", "0.5", "--target-lambda", "0.2"]) == 1
+    assert main(run_flags) == 1
 
 
 def test_sweep_fig12_deterministic_output(tmp_path):
@@ -275,3 +279,20 @@ def test_exit_code_validation_error(capsys):
 def test_exit_code_runtime_error(tmp_path, capsys):
     missing = tmp_path / "missing.txt"
     assert main(["run", "--edges", str(missing), "--d", "0.8", "--steps", "10"]) == 2
+
+
+# -- benchmark tracer --------------------------------------------------------------------
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench/spans.py patches these names from outside the program; a
+    # rename here would silently drop a layer from the traced benchmark
+    path = Path(__file__).parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for module, qualname, *_ in spans.TARGETS:
+        owner = importlib.import_module(module)
+        for attr in qualname.split("."):
+            owner = getattr(owner, attr)
+        assert callable(owner), f"{module}.{qualname}"

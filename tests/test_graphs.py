@@ -278,3 +278,11 @@ def test_edge_list_requires_header(tmp_path):
     path.write_text("0 1\n1 2\n")
     with pytest.raises(ValueError):
         read_edge_list(str(path))
+
+
+@pytest.mark.parametrize("bad", ["0 1 2", "a b", "7", "# n=ten"])
+def test_edge_list_malformed_line_names_path_and_line(tmp_path, bad):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"# n=3 m=2\n\n0 1\n{bad}\n")
+    with pytest.raises(ValueError, match=rf"bad\.txt, line 4: malformed"):
+        read_edge_list(str(path))

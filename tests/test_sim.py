@@ -19,7 +19,7 @@ from netqsim import (
     run,
     select_next_hop,
 )
-from netqsim.sim import SimState
+from netqsim.sim import InvariantViolation, SimState
 from _helpers import complete_graph, cycle_graph, path_graph
 
 
@@ -151,6 +151,43 @@ def test_arrivals_wait_for_next_step():
     st.inject(0, 4)
     st.step()
     assert st.queue_length(1) == 1 and st.queue_length(2) == 0
+
+
+def test_run_steps_block_equals_single_steps():
+    g, _ = giant_component(
+        generate_static_model(GenParams.from_avg_degree(80, 3.0, 0.5, 3))
+    )
+    dmat = all_pairs_hop_distances(g)
+    hosts = assign_hosts(g, 0.3, 3)
+    traffic = ErramilliParams(2.0, 2.0, 0.7)
+    block = SimState(g, dmat, hosts, traffic=traffic, seed=8)
+    single = SimState(g, dmat, hosts, traffic=traffic, seed=8)
+    block.run_steps(50)
+    block.begin_measurement()
+    block.run_steps(1100)  # crosses a block boundary of the source bits
+    for _ in range(50):
+        single.step()
+    single.begin_measurement()
+    for _ in range(1100):
+        single.step()
+    assert block.generated_total > 0 and block.delivered_total > 0
+    assert block.queue_series == single.queue_series
+    for name in ("generated_total", "delivered_total", "in_flight", "max_queue",
+                 "generated_window", "delivered_window"):
+        assert getattr(block, name) == getattr(single, name), name
+    assert block.mean_delivery_time() == single.mean_delivery_time()
+    assert block.link_counts == single.link_counts
+    assert [s.x for s in block.sources.values()] == [s.x for s in single.sources.values()]
+
+
+def test_invariant_violation_is_raised():
+    assert issubclass(InvariantViolation, AssertionError)
+    st = make_state(path_graph(4), hosts=[0, 3], traffic=None, check_invariants=True)
+    st.inject(0, 3)
+    st.step()
+    st.in_flight += 1
+    with pytest.raises(InvariantViolation, match="census"):
+        st.step()
 
 
 def test_inject_validation():

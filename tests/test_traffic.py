@@ -89,10 +89,14 @@ def test_orbit_determinism():
 
 def test_bits_match_repeated_next_bit():
     p = ErramilliParams(2.0, 1.6, 0.7)
-    fast = ErramilliSource(p, seed=9).bits(2000)
+    fast_src = ErramilliSource(p, seed=9)
+    fast = fast_src.bits(2000)
     slow_src = ErramilliSource(p, seed=9)
     slow = np.array([slow_src.next_bit() for _ in range(2000)], dtype=np.uint8)
     assert np.array_equal(fast, slow)
+    count_src = ErramilliSource(p, seed=9)
+    assert count_src.on_count(2000) == int(fast.sum())
+    assert fast_src.x == slow_src.x == count_src.x
 
 
 def test_fixed_x0_reproduces():
