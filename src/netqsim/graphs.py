@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -236,11 +235,6 @@ class DistanceMatrix:
     n: int
     dist: np.ndarray
 
-    @cached_property
-    def rows(self) -> list[list[int]]:
-        """Nested-list view for tight lookup loops."""
-        return self.dist.tolist()
-
 
 def all_pairs_hop_distances(g: Graph) -> DistanceMatrix:
     """BFS hop counts between every vertex pair (scipy csgraph backend)."""
@@ -287,10 +281,12 @@ def write_edge_list(
 def read_edge_list(path: str) -> tuple[Graph, dict[str, float]]:
     """Inverse of write_edge_list. Returns the graph and the header metadata.
 
-    A malformed line raises ValueError naming the path and the 1-based line.
+    A malformed line, a bad edge or an `m=` header that disagrees with the
+    edges read raises ValueError naming the path and the 1-based line.
     """
     meta: dict[str, float] = {}
-    edges: list[tuple[int, int]] = []
+    meta_line: dict[str, int] = {}
+    edges: list[tuple[int, int, int]] = []
     with open(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.strip()
@@ -302,13 +298,28 @@ def read_edge_list(path: str) -> tuple[Graph, dict[str, float]]:
                         if "=" in token:
                             key, val = token.split("=", 1)
                             meta[key] = float(val)
+                            meta_line[key] = lineno
                 else:
                     u, v = line.split()
-                    edges.append((int(u), int(v)))
+                    edges.append((lineno, int(u), int(v)))
             except ValueError:
                 raise ValueError(
                     f"{path}, line {lineno}: malformed line {line!r}"
                 ) from None
     if "n" not in meta:
         raise ValueError(f"{path}: missing 'n=' header")
-    return Graph(int(meta["n"]), edges), meta
+    at = meta_line["n"]
+
+    def numbered() -> Iterable[tuple[int, int]]:  # Graph checks edges in order
+        nonlocal at
+        for at, u, v in edges:
+            yield u, v
+
+    try:
+        g = Graph(int(meta["n"]), numbered())
+        if meta.get("m", g.n_edges) != g.n_edges:
+            at = meta_line["m"]
+            raise ValueError(f"header m={meta['m']:g}, edges read: {g.n_edges}")
+    except ValueError as exc:
+        raise ValueError(f"{path}, line {at}: {exc}") from None
+    return g, meta

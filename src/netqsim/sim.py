@@ -44,16 +44,6 @@ class Packet:
 
 
 @dataclass
-class NodeState:
-    """Inspection snapshot of one node (queues copied, counters live)."""
-
-    queue: list[Packet]
-    link_forward_count: dict[int, int]
-    is_host: bool
-    source: ErramilliSource | None
-
-
-@dataclass
 class SimConfig:
     graph: Graph
     rho: float = 0.16
@@ -99,23 +89,16 @@ def assign_hosts(g: Graph, rho: float, seed: int) -> list[int]:
     return sorted(int(v) for v in rng.choice(n, size=count, replace=False))
 
 
-def _choose_position(
-    neighbors: list[int],
-    dist_row: list[int],
-    counts_row: list[int],
-    tie_rng: random.Random,
-) -> int:
-    """Index into `neighbors` of the routing choice (closest, then least
-    used link, then random)."""
-    best_d = None
-    cand: list[int] = []
-    for k, u in enumerate(neighbors):
-        du = dist_row[u]
-        if best_d is None or du < best_d:
-            best_d = du
-            cand = [k]
-        elif du == best_d:
-            cand.append(k)
+def _closer_positions(neighbors: list[int], dist: list[int], v: int) -> tuple[int, ...]:
+    """Positions in `neighbors` (the adjacency of v) of the neighbours one
+    hop closer to the destination, given each vertex's distance `dist` to
+    it; empty when v is the destination or cannot reach it."""
+    target = dist[v] - 1
+    return tuple([k for k, u in enumerate(neighbors) if dist[u] == target])
+
+
+def _route(cand: tuple[int, ...], counts_row: list[int], tie_rng: random.Random) -> int:
+    """Pick among the closer positions `cand`: least used link, then at random."""
     if len(cand) > 1:
         best_c = min(counts_row[k] for k in cand)
         cand = [k for k in cand if counts_row[k] == best_c]
@@ -139,10 +122,10 @@ def select_next_hop(
     """
     if node == dst:
         raise ValueError("packet is already at its destination")
-    k = _choose_position(
-        g.adjacency[node], dmat.rows[dst], link_counts[node], rng
-    )
-    return g.adjacency[node][k]
+    cand = _closer_positions(g.adjacency[node], dmat.dist[dst].tolist(), node)
+    if not cand:
+        raise ValueError(f"vertex {dst} is unreachable from vertex {node}")
+    return g.adjacency[node][_route(cand, link_counts[node], rng)]
 
 
 class SimState:
@@ -161,6 +144,9 @@ class SimState:
     equivalent to the phase-start snapshot. Nodes are processed in
     ascending index order, which pins the tie-break RNG stream and makes
     runs bit-reproducible.
+
+    Routes are tabulated once, `_routes[dst][v]` for every host `dst`; hosts
+    must reach each other. `packets` logs packets under `check_invariants` only.
     """
 
     def __init__(
@@ -180,14 +166,24 @@ class SimState:
             raise TooFewHosts("need at least 2 hosts")
         if len(set(hosts)) != len(hosts) or not all(0 <= h < n for h in hosts):
             raise ValueError("hosts must be distinct vertex indices")
+        hosts = sorted(hosts)
+        for h in hosts:  # reachability is transitive: one row decides every pair
+            if dmat.dist[hosts[0], h] == UNREACHABLE:
+                raise ValueError(f"hosts {hosts[0]} and {h} are in different components")
 
         self.graph = graph
         self.dmat = dmat
-        self.hosts = sorted(hosts)
-        self._host_pos = {h: i for i, h in enumerate(self.hosts)}
+        self.hosts = hosts
+        self._host_pos = {h: i for i, h in enumerate(hosts)}
         self._adj = graph.adjacency
-        self._dist_rows = dmat.rows
         self._check = check_invariants
+
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._routes: list[list[tuple[int, ...]] | None] = [None] * n
+        for dst in hosts:
+            row = dmat.dist[dst].tolist()
+            cands = (_closer_positions(nbrs, row, v) for v, nbrs in enumerate(self._adj))
+            self._routes[dst] = [shared.setdefault(c, c) for c in cands]
 
         ss = np.random.SeedSequence(seed)
         dest_ss, tie_ss, *orbit_ss = ss.spawn(2 + (len(self.hosts) if traffic else 0))
@@ -205,7 +201,7 @@ class SimState:
         self._proxy = [0] * n
         self._active: set[int] = set()
 
-        self.packets: list[Packet] = []
+        self.packets: list[Packet] | None = [] if check_invariants else None
         self.clock = 0
         self.generated_total = 0
         self.delivered_total = 0
@@ -248,8 +244,9 @@ class SimState:
         return self._new_packet(src, dst)
 
     def _new_packet(self, src: int, dst: int) -> Packet:
-        pkt = Packet(len(self.packets), src, dst, self.clock)
-        self.packets.append(pkt)
+        pkt = Packet(self.generated_total, src, dst, self.clock)
+        if self.packets is not None:
+            self.packets.append(pkt)
         self.generated_total += 1
         self.in_flight += 1
         if self._measuring:
@@ -294,10 +291,12 @@ class SimState:
                 spawners[t].append(h)
 
         adj = self._adj
-        dist_rows = self._dist_rows
+        routes = self._routes
+        dist = self.dmat.dist
         counts = self.link_counts
         tie_rng = self._tie_rng
         proxy = self._proxy
+        check = self._check
         for on_hosts in spawners:
             t = self.clock
             for h in on_hosts:
@@ -306,7 +305,7 @@ class SimState:
             for node in sorted(self._active):
                 pkt = self._pop_head(node)
                 dst = pkt.dst
-                k = _choose_position(adj[node], dist_rows[dst], counts[node], tie_rng)
+                k = _route(routes[dst][node], counts[node], tie_rng)
                 counts[node][k] += 1
                 if pkt.src != node:
                     proxy[node] += 1
@@ -318,12 +317,16 @@ class SimState:
                     if self._measuring:
                         self.delivered_window += 1
                         self._delay_sum += pkt.delivered_at - pkt.created_at
+                    if check and pkt.delivered_at - pkt.created_at < dist[pkt.src, dst]:
+                        raise InvariantViolation(
+                            f"packet {pkt.id} beat the hop-distance lower bound"
+                        )
                 else:
                     self._append(nxt, pkt)
 
             self.clock = t + 1
             self.queue_series.append(self.in_flight)
-            if self._check:
+            if check:
                 self._assert_invariants()
 
     def _assert_invariants(self) -> None:
@@ -332,21 +335,8 @@ class SimState:
             raise InvariantViolation("queue census disagrees with in-flight count")
         if self.generated_total != self.delivered_total + self.in_flight:
             raise InvariantViolation("packet conservation violated")
-        for pkt in self.packets:
-            if pkt.delivered_at is not None:
-                lower = int(self.dmat.dist[pkt.src, pkt.dst])
-                if pkt.delivered_at - pkt.created_at < lower:
-                    raise InvariantViolation(
-                        f"packet {pkt.id} beat the hop-distance lower bound"
-                    )
 
     # -- inspection ----------------------------------------------------------
-
-    def node_state(self, v: int) -> NodeState:
-        counts = {u: c for u, c in zip(self._adj[v], self.link_counts[v])}
-        return NodeState(
-            list(self._queues[v]), counts, v in self._host_pos, self.sources.get(v)
-        )
 
     def mean_delivery_time(self) -> float:
         if self.delivered_window == 0:
@@ -355,7 +345,7 @@ class SimState:
 
 
 def run(config: SimConfig, dmat: DistanceMatrix | None = None) -> SimMetrics:
-    """Execute warmup then measurement on a connected graph.
+    """Execute warmup then measurement; every host must reach every other.
 
     Warmup steps feed the queues but are excluded from the window counters;
     the reported throughput is the number of packets delivered inside the
@@ -364,8 +354,6 @@ def run(config: SimConfig, dmat: DistanceMatrix | None = None) -> SimMetrics:
     g = config.graph
     if dmat is None:
         dmat = all_pairs_hop_distances(g)
-    if np.any(dmat.dist == UNREACHABLE):
-        raise ValueError("simulation requires a connected graph")
     hosts = assign_hosts(g, config.rho, config.seed)
     state = SimState(
         g,

@@ -280,9 +280,21 @@ def test_edge_list_requires_header(tmp_path):
         read_edge_list(str(path))
 
 
-@pytest.mark.parametrize("bad", ["0 1 2", "a b", "7", "# n=ten"])
+_BAD_LINES = {
+    "0 1 2": "malformed",
+    "a b": "malformed",
+    "7": "malformed",
+    "# n=ten": "malformed",
+    "0 5": r"edge \(0, 5\) out of range",
+    "2 2": "self-loop",
+    "1 0": r"duplicate edge \(0, 1\)",
+    "# m=5": "header m=5, edges read: 1",
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_LINES))
 def test_edge_list_malformed_line_names_path_and_line(tmp_path, bad):
     path = tmp_path / "bad.txt"
     path.write_text(f"# n=3 m=2\n\n0 1\n{bad}\n")
-    with pytest.raises(ValueError, match=rf"bad\.txt, line 4: malformed"):
+    with pytest.raises(ValueError, match=rf"bad\.txt, line 4: {_BAD_LINES[bad]}"):
         read_edge_list(str(path))

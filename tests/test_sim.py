@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+import netqsim
 from netqsim import (
     ErramilliParams,
     GenParams,
@@ -103,6 +107,33 @@ def test_next_hop_always_reduces_distance():
         assert dmat.dist[nxt, dst] == dmat.dist[node, dst] - 1
 
 
+def test_next_hop_unreachable_destination():
+    g = Graph(4, [(0, 1), (2, 3)])
+    dmat = all_pairs_hop_distances(g)
+    counts = [[0] * len(nbrs) for nbrs in g.adjacency]
+    with pytest.raises(ValueError, match="unreachable"):
+        select_next_hop(g, dmat, counts, 0, 2, random.Random(0))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_route_tables_hold_the_closest_neighbours(alpha):
+    g, _ = giant_component(
+        generate_static_model(GenParams.from_avg_degree(100, 3.0, alpha, 4))
+    )
+    dmat = all_pairs_hop_distances(g)
+    hosts = assign_hosts(g, 0.3, 4)
+    st = SimState(g, dmat, hosts)
+    for dst in hosts:
+        for v, nbrs in enumerate(g.adjacency):
+            if v == dst:
+                continue
+            # reference: every neighbour at the minimum distance to dst
+            best = min(dmat.dist[u, dst] for u in nbrs)
+            expected = tuple(k for k, u in enumerate(nbrs) if dmat.dist[u, dst] == best)
+            assert st._routes[dst][v], (dst, v)
+            assert st._routes[dst][v] == expected, (dst, v)
+
+
 # -- stepping -------------------------------------------------------------------------
 
 def test_idle_step_only_advances_clock():
@@ -126,9 +157,11 @@ def test_one_departure_per_node_per_step():
     st = make_state(g, hosts=[0, 2], traffic=None, check_invariants=True)
     a = st.inject(0, 2)
     b = st.inject(0, 2)
+    assert st.queue_length(0) == 2 and st.link_counts[0] == [0]
     st.step()
-    # only the head moved
+    # only the head moved, over the one link of vertex 0
     assert st.queue_length(0) == 1 and st.queue_length(1) == 1
+    assert st.link_counts[0] == [1]
     st.run_steps(5)
     assert a.delivered_at == 2 and b.delivered_at == 3
 
@@ -189,6 +222,36 @@ def test_invariant_violation_is_raised():
     with pytest.raises(InvariantViolation, match="census"):
         st.step()
 
+    st = make_state(path_graph(4), hosts=[0, 3], traffic=None, check_invariants=True)
+    pkt = st.inject(0, 3)
+    pkt.created_at += 1  # three hops in two steps
+    with pytest.raises(InvariantViolation, match="lower bound"):
+        st.run_steps(3)
+
+
+def test_invariant_violation_survives_python_O():
+    code = (
+        "import sys\n"
+        "from netqsim import Graph, all_pairs_hop_distances\n"
+        "from netqsim.sim import SimState\n"
+        "g = Graph(4, [(0, 1), (1, 2), (2, 3)])\n"
+        "st = SimState(g, all_pairs_hop_distances(g), [0, 3], traffic=None,\n"
+        "              check_invariants=True)\n"
+        "st.inject(0, 3)\n"
+        "st.step()\n"
+        "st.in_flight += 1\n"
+        "print(sys.flags.optimize, flush=True)\n"
+        "st.step()\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(netqsim.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.stdout.strip() == "1"
+    assert proc.returncode != 0
+    assert "InvariantViolation: queue census" in proc.stderr
+
 
 def test_inject_validation():
     st = make_state(path_graph(4), hosts=[0, 3], traffic=None)
@@ -200,7 +263,8 @@ def test_inject_validation():
 
 def test_generated_packets_target_other_hosts():
     g = complete_graph(5)
-    st = make_state(g, hosts=[0, 1, 2], traffic=ErramilliParams(1.5, 1.5, 0.3), seed=6)
+    st = make_state(g, hosts=[0, 1, 2], traffic=ErramilliParams(1.5, 1.5, 0.3), seed=6,
+                    check_invariants=True)
     st.run_steps(200)
     assert st.generated_total > 0
     for pkt in st.packets:
@@ -210,10 +274,29 @@ def test_generated_packets_target_other_hosts():
 
 # -- full runs ---------------------------------------------------------------------------
 
+def test_packet_log_only_under_checking():
+    st = make_state(path_graph(4), hosts=[0, 3], traffic=ErramilliParams(2.0, 2.0, 0.5))
+    st.run_steps(50)
+    assert st.packets is None
+    assert st.inject(0, 3).id == st.generated_total - 1 > 0
+
+
 def test_run_requires_connected_graph():
     g = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(ValueError):
         run(SimConfig(graph=g, rho=1.0, measure_steps=10))
+
+
+def test_hosts_must_be_mutually_reachable():
+    g = Graph(4, [(0, 1), (2, 3)])
+    dmat = all_pairs_hop_distances(g)
+    with pytest.raises(ValueError, match="different components"):
+        SimState(g, dmat, [0, 2])
+    # a component without hosts does not matter
+    st = SimState(g, dmat, [0, 1], traffic=None, check_invariants=True)
+    st.inject(0, 1)
+    st.run_steps(2)
+    assert st.delivered_total == 1
 
 
 def test_conservation_and_delivery_bound_under_load():
@@ -239,7 +322,8 @@ def test_delivery_times_at_least_hop_distance():
     g = cycle_graph(9)
     dmat = all_pairs_hop_distances(g)
     st = SimState(g, dmat, hosts=list(range(9)),
-                  traffic=ErramilliParams(1.5, 1.5, 0.5), seed=4)
+                  traffic=ErramilliParams(1.5, 1.5, 0.5), seed=4,
+                  check_invariants=True)
     st.run_steps(500)
     delivered = [p for p in st.packets if p.delivered_at is not None]
     assert delivered
@@ -319,18 +403,3 @@ def test_load_proxy_rank_correlates_with_static_load():
     st.run_steps(10_000)
     rho_s = spearmanr(measure_load_proxy(st), compute_load(g)).statistic
     assert rho_s > 0.7
-
-
-# -- inspection ------------------------------------------------------------------------------
-
-def test_node_state_view():
-    g = path_graph(3)
-    st = make_state(g, hosts=[0, 2], traffic=None)
-    pkt = st.inject(0, 2)
-    ns = st.node_state(0)
-    assert ns.is_host and ns.queue == [pkt]
-    assert ns.link_forward_count == {1: 0}
-    st.step()
-    assert st.node_state(0).queue == []
-    assert st.node_state(0).link_forward_count == {1: 1}
-    assert not st.node_state(1).is_host
