@@ -247,8 +247,8 @@ def all_pairs_hop_distances(g: Graph) -> DistanceMatrix:
     else:
         mat = csr_matrix((n, n), dtype=np.int8)
     d = shortest_path(mat, method="D", directed=False, unweighted=True)
-    out = np.where(np.isinf(d), UNREACHABLE, d).astype(np.int32)
-    return DistanceMatrix(n, out)
+    d[np.isinf(d)] = UNREACHABLE  # in place: no second N x N float64 array
+    return DistanceMatrix(n, d.astype(np.int32))
 
 
 def characteristic_path_length(dmat: DistanceMatrix) -> float:
@@ -281,8 +281,9 @@ def write_edge_list(
 def read_edge_list(path: str) -> tuple[Graph, dict[str, float]]:
     """Inverse of write_edge_list. Returns the graph and the header metadata.
 
-    A malformed line, a bad edge or an `m=` header that disagrees with the
-    edges read raises ValueError naming the path and the 1-based line.
+    A malformed line (a non-integer `n=` or `m=` among them), a bad edge or
+    an `m=` header that disagrees with the edges read raises ValueError
+    naming the path and the 1-based line.
     """
     meta: dict[str, float] = {}
     meta_line: dict[str, int] = {}
@@ -297,7 +298,7 @@ def read_edge_list(path: str) -> tuple[Graph, dict[str, float]]:
                     for token in line[1:].split():
                         if "=" in token:
                             key, val = token.split("=", 1)
-                            meta[key] = float(val)
+                            meta[key] = int(val) if key in ("n", "m") else float(val)
                             meta_line[key] = lineno
                 else:
                     u, v = line.split()
@@ -316,10 +317,10 @@ def read_edge_list(path: str) -> tuple[Graph, dict[str, float]]:
             yield u, v
 
     try:
-        g = Graph(int(meta["n"]), numbered())
+        g = Graph(meta["n"], numbered())
         if meta.get("m", g.n_edges) != g.n_edges:
             at = meta_line["m"]
-            raise ValueError(f"header m={meta['m']:g}, edges read: {g.n_edges}")
+            raise ValueError(f"header m={meta['m']}, edges read: {g.n_edges}")
     except ValueError as exc:
         raise ValueError(f"{path}, line {at}: {exc}") from None
     return g, meta

@@ -1,8 +1,10 @@
 """Per-vertex shortest-path load: the sum over ordered vertex pairs of the
 fraction of geodesics between them passing through each vertex.
 
-`compute_load` is the production path (per-source BFS plus reverse
-dependency accumulation, O(N*M) overall); `brute_force_load` enumerates
+`compute_load` is the production path: Brandes' per-source BFS plus
+reverse dependency accumulation, O(N*M) overall, vectorised with numpy over
+blocks of sources. It is bit-identical to the sequential per-source loop,
+which the tests keep as their reference. `brute_force_load` enumerates
 every shortest path explicitly and exists solely to cross-check it.
 """
 from __future__ import annotations
@@ -15,6 +17,12 @@ import numpy as np
 from .graphs import Graph
 
 _BRUTE_FORCE_CAP = 16
+# Cells (source, vertex) per block of compute_load: small enough that the
+# block's state stays in cache, large enough to amortise the per-level calls.
+_BLOCK_CELLS = 1 << 14
+# float64 counts whole numbers exactly only below this.
+_EXACT_COUNT = 2.0**53
+_NO_POSITION = np.iinfo(np.intp).max
 
 
 class TooLarge(ValueError):
@@ -42,45 +50,99 @@ def compute_load(g: Graph, include_endpoints: bool = False) -> np.ndarray:
     endpoint terms, i.e. 2 * (number of reachable partners) per vertex.
 
     Unreachable pairs contribute nothing, so disconnected inputs are fine.
+    Geodesic counts are held as float64, which counts exactly only below
+    2**53; a graph whose counts reach that raises ValueError.
     """
     n = g.n_vertices
-    adj = g.adjacency
-    load = [0.0] * n
-    reach = [0] * n
-    for s in range(n):
-        dist = [-1] * n
-        sigma = [0] * n
-        order: list[int] = []
-        dist[s] = 0
-        sigma[s] = 1
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            order.append(v)
-            dv1 = dist[v] + 1
-            sv = sigma[v]
-            for w in adj[v]:
-                dw = dist[w]
-                if dw < 0:
-                    dist[w] = dv1
-                    sigma[w] = sv
-                    q.append(w)
-                elif dw == dv1:
-                    sigma[w] += sv
-        reach[s] = len(order) - 1
-        delta = [0.0] * n
-        for w in reversed(order):
-            coef = (1.0 + delta[w]) / sigma[w]
-            dw1 = dist[w] - 1
-            for v in adj[w]:
-                if dist[v] == dw1:
-                    delta[v] += sigma[v] * coef
-            if w != s:
-                load[w] += delta[w]
+    deg = np.fromiter(map(len, g.adjacency), dtype=np.intp, count=n)
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(deg, out=indptr[1:])
+    indices = np.fromiter(
+        (w for nbrs in g.adjacency for w in nbrs), dtype=np.intp, count=int(indptr[-1])
+    )
+    load = np.zeros(n)
+    reach = np.zeros(n)
+    block = max(1, _BLOCK_CELLS // n)
+    for s0 in range(0, n, block):
+        sources = np.arange(s0, min(n, s0 + block))
+        delta, reach[sources] = _dependencies(deg, indptr, indices, sources)
+        for row in delta:  # ascending source order, as a per-source loop adds
+            load += row
     if include_endpoints:
-        for v in range(n):
-            load[v] += 2.0 * reach[v]
-    return np.asarray(load)
+        load += 2.0 * reach
+    return load
+
+
+def _dependencies(
+    deg: np.ndarray, indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Brandes dependencies of a block of sources on every vertex.
+
+    Returns delta, one row per source with its own entry zeroed, and the
+    number of vertices each source reaches. State is flat over the cells
+    (source row r, vertex v) at r * n + v. Each BFS level is expanded at once
+    for all rows: the frontier keeps each row's deque order, and a new level
+    is ordered by first discovery (the smallest candidate position, found by
+    np.minimum.at). The dependencies then accumulate level by level, deepest
+    first, over the predecessor edges of each level listed by successor in
+    reverse BFS order, so that every delta[v] receives its terms in the same
+    order, and hence rounds the same way, as a sequential reverse walk.
+    """
+    n = deg.size
+    b = sources.size
+    row_base = np.arange(b, dtype=np.intp) * n
+    dist = np.full(b * n, -1, dtype=np.intp)
+    sigma = np.zeros(b * n)
+    first = np.full(b * n, _NO_POSITION, dtype=np.intp)
+    front_v = sources
+    front = row_base + sources
+    dist[front] = 0
+    sigma[front] = 1.0
+    # per level >= 1: its cells, the predecessor cells of its edges to the
+    # level above, and the index in the level of each edge's successor
+    levels = []
+    depth = 0
+    while True:
+        # every (frontier cell, neighbour) pair in frontier order, then adjacency order
+        cnt = deg.take(front_v)
+        ends = np.cumsum(cnt)
+        seg = np.repeat(np.arange(cnt.size), cnt)
+        cand = (indptr.take(front_v) - ends + cnt).take(seg)
+        cand += np.arange(int(ends[-1]))
+        cand = indices.take(cand)
+        cand += (front - front_v).take(seg)
+        cand_dist = dist.take(cand)
+        if depth:
+            back = cand_dist == depth - 1
+            levels.append((front, cand.compress(back), seg.compress(back)))
+        new = cand_dist < 0
+        succ = cand.compress(new)
+        if succ.size == 0:
+            break
+        seg = seg.compress(new)
+        pos = np.arange(succ.size)
+        np.minimum.at(first, succ, pos)
+        nxt = succ.compress(first.take(succ) == pos)
+        first[nxt] = _NO_POSITION
+        depth += 1
+        dist[nxt] = depth
+        np.add.at(sigma, succ, sigma.take(front).take(seg))  # whole numbers: exact
+        counts = sigma.take(nxt)
+        if counts.max() >= _EXACT_COUNT:
+            src = int(sources[nxt[counts.argmax()] // n])
+            raise ValueError(
+                f"geodesic counts from source {src} exceed exact float64 range (2**53)"
+            )
+        front = nxt
+        front_v = nxt % n
+    delta = np.zeros(b * n)
+    for front, pred, seg in reversed(levels):
+        coef = (1.0 + delta.take(front)) / sigma.take(front)
+        pred = pred[::-1]
+        np.add.at(delta, pred, sigma.take(pred) * coef.take(seg[::-1]))
+    delta[row_base + sources] = 0.0
+    reached = (dist.reshape(b, n) >= 0).sum(axis=1) - 1
+    return delta.reshape(b, n), reached
 
 
 def brute_force_load(g: Graph, include_endpoints: bool = False) -> np.ndarray:

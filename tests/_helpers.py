@@ -1,6 +1,8 @@
 """Shared test graph builders and independent oracles."""
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from netqsim import Graph
@@ -20,6 +22,13 @@ def complete_graph(n: int) -> Graph:
 
 def star_graph(n_leaves: int) -> Graph:
     return Graph(n_leaves + 1, [(0, i) for i in range(1, n_leaves + 1)])
+
+
+def grid_graph(rows: int, cols: int) -> Graph:
+    """rows x cols lattice; vertex r * cols + c."""
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph(rows * cols, edges)
 
 
 def petersen_graph() -> Graph:
@@ -80,3 +89,52 @@ class UnionFind:
             r = self.find(x)
             sizes[r] = sizes.get(r, 0) + 1
         return sizes
+
+
+def reference_load(g: Graph, include_endpoints: bool = False) -> np.ndarray:
+    """Sequential Brandes load, one source at a time: the oracle that
+    `compute_load` must match bit for bit.
+
+    Per source, a deque BFS counts geodesics (sigma, exact Python ints) and
+    the reverse BFS order accumulates delta[v] += sigma[v] * (1 + delta[w])
+    / sigma[w] over predecessors v of w in adjacency order; each source's
+    delta (own entry excluded) is added to the load in ascending source order.
+    """
+    n = g.n_vertices
+    adj = g.adjacency
+    load = [0.0] * n
+    reach = [0] * n
+    for s in range(n):
+        dist = [-1] * n
+        sigma = [0] * n
+        order: list[int] = []
+        dist[s] = 0
+        sigma[s] = 1
+        q = deque([s])
+        while q:
+            v = q.popleft()
+            order.append(v)
+            dv1 = dist[v] + 1
+            sv = sigma[v]
+            for w in adj[v]:
+                dw = dist[w]
+                if dw < 0:
+                    dist[w] = dv1
+                    sigma[w] = sv
+                    q.append(w)
+                elif dw == dv1:
+                    sigma[w] += sv
+        reach[s] = len(order) - 1
+        delta = [0.0] * n
+        for w in reversed(order):
+            coef = (1.0 + delta[w]) / sigma[w]
+            dw1 = dist[w] - 1
+            for v in adj[w]:
+                if dist[v] == dw1:
+                    delta[v] += sigma[v] * coef
+            if w != s:
+                load[w] += delta[w]
+    if include_endpoints:
+        for v in range(n):
+            load[v] += 2.0 * reach[v]
+    return np.asarray(load)

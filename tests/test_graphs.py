@@ -285,6 +285,8 @@ _BAD_LINES = {
     "a b": "malformed",
     "7": "malformed",
     "# n=ten": "malformed",
+    "# n=3.7 m=1": "malformed",
+    "# m=2.5": "malformed",
     "0 5": r"edge \(0, 5\) out of range",
     "2 2": "self-loop",
     "1 0": r"duplicate edge \(0, 1\)",

@@ -15,12 +15,15 @@ from netqsim import (
     load_stats,
     write_load_csv,
 )
+from netqsim import load as load_module
 from _helpers import (
     complete_graph,
     cycle_graph,
+    grid_graph,
     path_graph,
     petersen_graph,
     random_graph,
+    reference_load,
     star_graph,
 )
 
@@ -87,6 +90,43 @@ def test_matches_brute_force_on_random_graphs():
         slow = brute_force_load(g)
         assert np.max(np.abs(fast - slow)) < 1e-9
         assert abs(fast.sum() - conservation_target(g)) < 1e-9
+
+
+def test_matches_sequential_reference_bit_for_bit():
+    graphs = []
+    for alpha in (0.0, 0.5, 1.0):
+        params = GenParams.from_avg_degree(600, 3.0, alpha, seed=1)
+        gc, _ = giant_component(generate_static_model(params))
+        block = load_module._BLOCK_CELLS // gc.n_vertices
+        assert gc.n_vertices > block and gc.n_vertices % block != 0
+        graphs.append(gc)
+    rng = np.random.default_rng(7)
+    graphs += [random_graph(40, 30, rng), random_graph(60, 45, rng)]
+    graphs += [Graph(6, []), Graph(1, [])]
+    for g in graphs:
+        for endpoints in (False, True):
+            assert np.array_equal(compute_load(g, endpoints), reference_load(g, endpoints))
+
+
+def test_geodesic_counts_beyond_exact_float64_raise():
+    small = grid_graph(8, 8)
+    for endpoints in (False, True):
+        assert np.array_equal(compute_load(small, endpoints), reference_load(small, endpoints))
+    # corner to corner of a 30 x 30 grid: C(58, 29) ~ 3.0e16 > 2**53 geodesics
+    with pytest.raises(ValueError, match="exceed exact float64 range"):
+        compute_load(grid_graph(30, 30))
+
+
+def test_twice_networkx_betweenness():
+    nx = pytest.importorskip("networkx")
+    for alpha in (0.0, 1.0):
+        params = GenParams.from_avg_degree(300, 3.0, alpha, seed=5)
+        gc, _ = giant_component(generate_static_model(params))
+        nxg = nx.Graph(gc.edges())
+        nxg.add_nodes_from(range(gc.n_vertices))
+        bc = nx.betweenness_centrality(nxg, normalized=False)
+        expect = 2.0 * np.array([bc[v] for v in range(gc.n_vertices)])
+        np.testing.assert_allclose(compute_load(gc), expect, rtol=1e-12, atol=0.0)
 
 
 def test_disconnected_pairs_contribute_nothing():
