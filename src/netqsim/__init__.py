@@ -29,6 +29,7 @@ from .load import (
     TooLarge,
     brute_force_load,
     compute_load,
+    load_and_cpl,
     load_stats,
     write_load_csv,
 )

@@ -14,13 +14,12 @@ from .graphs import (
     GenParams,
     Graph,
     all_pairs_hop_distances,
-    characteristic_path_length,
     generate_static_model,
     giant_component,
     read_edge_list,
     write_edge_list,
 )
-from .load import compute_load, load_stats, write_load_csv
+from .load import compute_load, load_and_cpl, load_stats, write_load_csv
 from .sim import SimConfig, SimMetrics, run as run_sim
 from .traffic import (
     ErramilliParams,
@@ -174,24 +173,35 @@ def gamma_of_alpha(alpha: float) -> float:
 
 
 def _build_topology(plan: ExperimentPlan, alpha: float, seed: int):
-    """Generate, reduce to the giant component, and precompute per-graph data."""
+    """Generate, reduce to the giant component, and compute its
+    characteristic path length and load statistics. Both come from the one
+    BFS pass of `load_and_cpl`, so no dense distance matrix is built here;
+    the fig34 sweep builds that matrix for the simulator only."""
     params = GenParams.from_avg_degree(plan.n_vertices, plan.avg_degree, alpha, seed)
     g, _ = giant_component(generate_static_model(params))
-    dmat = all_pairs_hop_distances(g)
-    cpl = characteristic_path_length(dmat)
-    stats = load_stats(compute_load(g))
-    return g, dmat, cpl, stats
+    load, cpl = load_and_cpl(g)
+    return g, cpl, load_stats(load)
 
 
-def run_fig12_sweep(plan: ExperimentPlan, progress=None) -> tuple[list[dict], list[dict]]:
-    """Load statistics against alpha: one row per (alpha, seed), plus
-    seed-averaged rows."""
+def run_fig12_sweep(
+    plan: ExperimentPlan, progress=None
+) -> tuple[list[dict], list[dict], list[dict]]:
+    """Load statistics against alpha: one row per (alpha, seed).
+
+    A failing cell is recorded and skipped so the rest of the sweep
+    survives. Returns (per-seed rows, seed-averaged rows, failures).
+    """
     rows = []
+    failures = []
     for alpha in plan.alphas:
         for seed in plan.seeds:
             if progress:
                 progress(f"fig12 alpha={alpha} seed={seed}")
-            g, _, cpl, stats = _build_topology(plan, alpha, seed)
+            try:
+                g, cpl, stats = _build_topology(plan, alpha, seed)
+            except Exception as exc:  # noqa: BLE001 - cell isolation by contract
+                failures.append({"alpha": alpha, "seed": seed, "error": repr(exc)})
+                continue
             rows.append({
                 "alpha": alpha,
                 "gamma": gamma_of_alpha(alpha),
@@ -202,7 +212,7 @@ def run_fig12_sweep(plan: ExperimentPlan, progress=None) -> tuple[list[dict], li
                 "load_nstd": stats.normalized_std,
             })
     avg = average_records(rows, ["alpha", "gamma"], ["n_giant", "cpl", "load_mean", "load_nstd"])
-    return rows, avg
+    return rows, avg, failures
 
 
 def _metrics_columns(metrics: SimMetrics) -> dict:
@@ -241,7 +251,8 @@ def run_fig34_sweep(
             if progress:
                 progress(f"fig34 alpha={alpha} seed={seed}")
             try:
-                g, dmat, cpl, stats = _build_topology(plan, alpha, seed)
+                g, cpl, stats = _build_topology(plan, alpha, seed)
+                dmat = all_pairs_hop_distances(g)  # the simulator's routing needs it
             except Exception as exc:  # noqa: BLE001 - cell isolation by contract
                 for lam in plan.lambdas:
                     failures.append(
@@ -464,12 +475,10 @@ def _cmd_sweep(args) -> int:
         print(msg, file=sys.stderr)
 
     if args.kind == "fig12":
-        rows, avg = run_fig12_sweep(plan, progress=progress)
-        failures = []
-        columns = FIG12_COLUMNS
+        sweep, columns = run_fig12_sweep, FIG12_COLUMNS
     else:
-        rows, avg, failures = run_fig34_sweep(plan, progress=progress)
-        columns = FIG34_COLUMNS
+        sweep, columns = run_fig34_sweep, FIG34_COLUMNS
+    rows, avg, failures = sweep(plan, progress=progress)
     emit_csv(rows, plan.out, columns)
     avg_columns = list(avg[0].keys()) if avg else []
     if avg:

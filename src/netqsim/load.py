@@ -4,8 +4,11 @@ fraction of geodesics between them passing through each vertex.
 `compute_load` is the production path: Brandes' per-source BFS plus
 reverse dependency accumulation, O(N*M) overall, vectorised with numpy over
 blocks of sources. It is bit-identical to the sequential per-source loop,
-which the tests keep as their reference. `brute_force_load` enumerates
-every shortest path explicitly and exists solely to cross-check it.
+which the tests keep as their reference. The same BFS visits every hop
+distance, so `load_and_cpl` also returns the characteristic path length from
+that one pass, equal to `characteristic_path_length` of the dense distance
+matrix without building it. `brute_force_load` enumerates every shortest
+path explicitly and exists solely to cross-check it.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, NoReachablePairs
 
 _BRUTE_FORCE_CAP = 16
 # Cells (source, vertex) per block of compute_load: small enough that the
@@ -53,6 +56,30 @@ def compute_load(g: Graph, include_endpoints: bool = False) -> np.ndarray:
     Geodesic counts are held as float64, which counts exactly only below
     2**53; a graph whose counts reach that raises ValueError.
     """
+    load, reach, _ = _brandes(g)
+    if include_endpoints:
+        load += 2.0 * reach
+    return load
+
+
+def load_and_cpl(g: Graph) -> tuple[np.ndarray, float]:
+    """`compute_load(g)` and the characteristic path length, from one BFS pass.
+
+    The path length is the mean hop count over ordered reachable pairs
+    s != t, the same integer division as `characteristic_path_length`, so
+    the two agree bit for bit. Raises NoReachablePairs when no pair is
+    reachable.
+    """
+    load, reach, hops = _brandes(g)
+    pairs = int(reach.sum())
+    if pairs <= 0:
+        raise NoReachablePairs("no reachable ordered pair s != t")
+    return load, hops / pairs
+
+
+def _brandes(g: Graph) -> tuple[np.ndarray, np.ndarray, int]:
+    """Load without endpoint terms, the number of vertices each vertex
+    reaches, and the total hop count over ordered reachable pairs."""
     n = g.n_vertices
     deg = np.fromiter(map(len, g.adjacency), dtype=np.intp, count=n)
     indptr = np.zeros(n + 1, dtype=np.intp)
@@ -61,28 +88,29 @@ def compute_load(g: Graph, include_endpoints: bool = False) -> np.ndarray:
         (w for nbrs in g.adjacency for w in nbrs), dtype=np.intp, count=int(indptr[-1])
     )
     load = np.zeros(n)
-    reach = np.zeros(n)
+    reach = np.zeros(n, dtype=np.intp)
+    hops = 0
     block = max(1, _BLOCK_CELLS // n)
     for s0 in range(0, n, block):
         sources = np.arange(s0, min(n, s0 + block))
-        delta, reach[sources] = _dependencies(deg, indptr, indices, sources)
+        delta, reach[sources], block_hops = _dependencies(deg, indptr, indices, sources)
+        hops += block_hops
         for row in delta:  # ascending source order, as a per-source loop adds
             load += row
-    if include_endpoints:
-        load += 2.0 * reach
-    return load
+    return load, reach, hops
 
 
 def _dependencies(
     deg: np.ndarray, indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Brandes dependencies of a block of sources on every vertex.
 
-    Returns delta, one row per source with its own entry zeroed, and the
-    number of vertices each source reaches. State is flat over the cells
-    (source row r, vertex v) at r * n + v. Each BFS level is expanded at once
-    for all rows: the frontier keeps each row's deque order, and a new level
-    is ordered by first discovery (the smallest candidate position, found by
+    Returns delta, one row per source with its own entry zeroed, the number
+    of vertices each source reaches, and the block's total hop count over
+    the pairs it reaches. State is flat over the cells (source row r, vertex
+    v) at r * n + v. Each BFS level is expanded at once for all rows: the
+    frontier keeps each row's deque order, and a new level is ordered by
+    first discovery (the smallest candidate position, found by
     np.minimum.at). The dependencies then accumulate level by level, deepest
     first, over the predecessor edges of each level listed by successor in
     reverse BFS order, so that every delta[v] receives its terms in the same
@@ -102,6 +130,7 @@ def _dependencies(
     # level above, and the index in the level of each edge's successor
     levels = []
     depth = 0
+    hops = 0
     while True:
         # every (frontier cell, neighbour) pair in frontier order, then adjacency order
         cnt = deg.take(front_v)
@@ -126,6 +155,7 @@ def _dependencies(
         first[nxt] = _NO_POSITION
         depth += 1
         dist[nxt] = depth
+        hops += depth * nxt.size
         np.add.at(sigma, succ, sigma.take(front).take(seg))  # whole numbers: exact
         counts = sigma.take(nxt)
         if counts.max() >= _EXACT_COUNT:
@@ -142,7 +172,7 @@ def _dependencies(
         np.add.at(delta, pred, sigma.take(pred) * coef.take(seg[::-1]))
     delta[row_base + sources] = 0.0
     reached = (dist.reshape(b, n) >= 0).sum(axis=1) - 1
-    return delta.reshape(b, n), reached
+    return delta.reshape(b, n), reached, hops
 
 
 def brute_force_load(g: Graph, include_endpoints: bool = False) -> np.ndarray:

@@ -111,18 +111,26 @@ def test_emit_csv_round_trip(tmp_path):
     assert math.isnan(back[1]["a"])
 
 
-def test_fig12_golden_csv(tmp_path):
+def test_fig12_golden_csv(tmp_path, monkeypatch):
+    import netqsim.cli as cli
+
+    def no_apsp(g):
+        raise AssertionError("fig12 built the dense distance matrix")
+
+    # cpl and load come from one BFS pass; the N x N matrix is the simulator's
+    monkeypatch.setattr(cli, "all_pairs_hop_distances", no_apsp)
     plan = ExperimentPlan(n_vertices=30, avg_degree=2.0, alphas=[0.0, 1.0], seeds=[1, 2])
-    rows, avg = run_fig12_sweep(plan)
+    rows, avg, failures = run_fig12_sweep(plan)
+    assert failures == []
     assert len(rows) == 4 and len(avg) == 2
     path = tmp_path / "fig12.csv"
     emit_csv(rows, str(path), FIG12_COLUMNS)
-    assert path.read_text() == (DATA / "golden_fig12_tiny.csv").read_text()
+    assert path.read_bytes() == (DATA / "golden_fig12_tiny.csv").read_bytes()
 
 
 def test_fig12_gamma_column_rule(tmp_path):
     plan = ExperimentPlan(n_vertices=30, avg_degree=2.0, alphas=[0.0, 0.5], seeds=[1])
-    rows, _ = run_fig12_sweep(plan)
+    rows, _, _ = run_fig12_sweep(plan)
     by_alpha = {r["alpha"]: r for r in rows}
     assert by_alpha[0.0]["gamma"] == float("inf")
     assert by_alpha[0.5]["gamma"] == 1.0 + 1.0 / 0.5
@@ -258,6 +266,45 @@ def test_fig34_sweep_isolates_failing_cells(monkeypatch):
     assert [r["seed"] for r in rows] == [0, 2]
     assert len(failures) == 1 and failures[0]["seed"] == 1
     assert avg[0]["n_seeds"] == 2
+
+
+def test_fig12_sweep_isolates_failing_cells(monkeypatch):
+    import netqsim.cli as cli
+
+    real_generate = cli.generate_static_model
+
+    def flaky_generate(params):
+        if params.seed == 1:
+            raise RuntimeError("boom")
+        return real_generate(params)
+
+    monkeypatch.setattr(cli, "generate_static_model", flaky_generate)
+    plan = ExperimentPlan(n_vertices=30, avg_degree=2.0, alphas=[0.0], seeds=[0, 1, 2])
+    rows, avg, failures = run_fig12_sweep(plan)
+    assert [r["seed"] for r in rows] == [0, 2]
+    assert failures == [{"alpha": 0.0, "seed": 1, "error": "RuntimeError('boom')"}]
+    assert avg[0]["n_seeds"] == 2
+
+
+def test_fig34_builds_one_distance_matrix_per_graph(monkeypatch):
+    import netqsim.cli as cli
+
+    calls = []
+    real_apsp = cli.all_pairs_hop_distances
+
+    def counting_apsp(g):
+        calls.append(g.n_vertices)
+        return real_apsp(g)
+
+    monkeypatch.setattr(cli, "all_pairs_hop_distances", counting_apsp)
+    plan = ExperimentPlan(
+        n_vertices=30, avg_degree=2.0, alphas=[0.0, 1.0], lambdas=[0.1, 0.2],
+        seeds=[0, 1], warmup_steps=20, measure_steps=100,
+    )
+    rows, _, failures = run_fig34_sweep(plan)
+    assert failures == [] and len(rows) == 8
+    # one matrix per (alpha, seed), shared by both lambdas of the graph
+    assert calls == [r["n_giant"] for r in rows[::2]]
 
 
 def test_sweep_config_file(tmp_path):

@@ -6,12 +6,15 @@ import pytest
 from netqsim import (
     GenParams,
     Graph,
+    NoReachablePairs,
     TooLarge,
     all_pairs_hop_distances,
     brute_force_load,
+    characteristic_path_length,
     compute_load,
     generate_static_model,
     giant_component,
+    load_and_cpl,
     load_stats,
     write_load_csv,
 )
@@ -92,7 +95,9 @@ def test_matches_brute_force_on_random_graphs():
         assert abs(fast.sum() - conservation_target(g)) < 1e-9
 
 
-def test_matches_sequential_reference_bit_for_bit():
+def kernel_graphs() -> list[Graph]:
+    """N=600 giants at alpha 0/0.5/1 (several blocks, the last one partial),
+    two disconnected G(n, m), then an edgeless and a 1-vertex graph."""
     graphs = []
     for alpha in (0.0, 0.5, 1.0):
         params = GenParams.from_avg_degree(600, 3.0, alpha, seed=1)
@@ -103,9 +108,27 @@ def test_matches_sequential_reference_bit_for_bit():
     rng = np.random.default_rng(7)
     graphs += [random_graph(40, 30, rng), random_graph(60, 45, rng)]
     graphs += [Graph(6, []), Graph(1, [])]
-    for g in graphs:
+    return graphs
+
+
+def test_matches_sequential_reference_bit_for_bit():
+    for g in kernel_graphs():
         for endpoints in (False, True):
             assert np.array_equal(compute_load(g, endpoints), reference_load(g, endpoints))
+
+
+def test_cpl_from_one_pass_equals_dense_oracle():
+    *reachable, edgeless, single = kernel_graphs()
+    for g in reachable:
+        load, cpl = load_and_cpl(g)
+        assert cpl == characteristic_path_length(all_pairs_hop_distances(g))
+        assert np.array_equal(load, reference_load(g))
+    for g in (edgeless, single):
+        with pytest.raises(NoReachablePairs) as dense:
+            characteristic_path_length(all_pairs_hop_distances(g))
+        with pytest.raises(NoReachablePairs) as kernel:
+            load_and_cpl(g)
+        assert str(kernel.value) == str(dense.value)
 
 
 def test_geodesic_counts_beyond_exact_float64_raise():
