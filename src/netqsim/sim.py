@@ -10,6 +10,7 @@ rising delivery times; nothing is ever dropped.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -34,8 +35,15 @@ class InvariantViolation(AssertionError):
     asserted, so that it also runs under `python -O`."""
 
 
+def _check_steps(name: str, count) -> None:
+    if not isinstance(count, numbers.Integral) or count < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {count!r}")
+
+
 @dataclass(slots=True)
 class Packet:
+    """Log record of one packet, kept under `check_invariants` only."""
+
     id: int
     src: int
     dst: int
@@ -57,8 +65,10 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.rho <= 1.0:
             raise ValueError("rho must lie in (0, 1]")
-        if self.warmup_steps < 0 or self.measure_steps < 1:
-            raise ValueError("need warmup_steps >= 0 and measure_steps >= 1")
+        _check_steps("warmup_steps", self.warmup_steps)
+        _check_steps("measure_steps", self.measure_steps)
+        if self.measure_steps < 1:
+            raise ValueError("need measure_steps >= 1")
 
 
 @dataclass
@@ -146,7 +156,9 @@ class SimState:
     runs bit-reproducible.
 
     Routes are tabulated once, `_routes[dst][v]` for every host `dst`; hosts
-    must reach each other. `packets` logs packets under `check_invariants` only.
+    must reach each other. A queued packet is a tuple (id, src, dst,
+    created_at). Under `check_invariants` only, `packets` logs a `Packet`
+    per id and each queue's pops are checked against its arrival order.
     """
 
     def __init__(
@@ -174,7 +186,7 @@ class SimState:
         self.graph = graph
         self.dmat = dmat
         self.hosts = hosts
-        self._host_pos = {h: i for i, h in enumerate(hosts)}
+        self._host_set = set(hosts)
         self._adj = graph.adjacency
         self._check = check_invariants
 
@@ -196,12 +208,14 @@ class SimState:
                     traffic, seed=child, burn_in=source_burn_in
                 )
 
-        self._queues: list[deque[Packet]] = [deque() for _ in range(n)]
+        self._queues: list[deque[tuple[int, int, int, int]]] = [deque() for _ in range(n)]
         self.link_counts: list[list[int]] = [[0] * len(nbrs) for nbrs in self._adj]
-        self._proxy = [0] * n
+        self._generated_at = [0] * n
         self._active: set[int] = set()
 
+        # Under checking: every packet by id, and each queue's ids in arrival order.
         self.packets: list[Packet] | None = [] if check_invariants else None
+        self._arrivals = [deque() for _ in range(n)] if check_invariants else None
         self.clock = 0
         self.generated_total = 0
         self.delivered_total = 0
@@ -214,52 +228,32 @@ class SimState:
         self.delivered_window = 0
         self._delay_sum = 0
 
-    # -- queue plumbing ----------------------------------------------------
-
-    def _append(self, v: int, pkt: Packet) -> None:
-        q = self._queues[v]
-        q.append(pkt)
-        self._active.add(v)
-        if len(q) > self.max_queue:
-            self.max_queue = len(q)
-
-    def _pop_head(self, v: int) -> Packet:
-        q = self._queues[v]
-        pkt = q.popleft()
-        if not q:
-            self._active.discard(v)
-        return pkt
-
     def queue_length(self, v: int) -> int:
         return len(self._queues[v])
 
-    # -- packet creation ---------------------------------------------------
-
     def inject(self, src: int, dst: int) -> Packet:
-        """Manually enqueue a packet at `src` (both endpoints must be hosts)."""
-        if src not in self._host_pos or dst not in self._host_pos:
+        """Manually enqueue a packet at `src` (both endpoints must be hosts).
+
+        The returned record gets its `delivered_at` only under checking,
+        where it is the logged one."""
+        if src not in self._host_set or dst not in self._host_set:
             raise ValueError("src and dst must be hosts")
         if src == dst:
             raise ValueError("src and dst must differ")
-        return self._new_packet(src, dst)
-
-    def _new_packet(self, src: int, dst: int) -> Packet:
         pkt = Packet(self.generated_total, src, dst, self.clock)
         if self.packets is not None:
             self.packets.append(pkt)
+            self._arrivals[src].append(pkt.id)
+        q = self._queues[src]
+        q.append((pkt.id, src, dst, pkt.created_at))
+        self._active.add(src)
+        self.max_queue = max(self.max_queue, len(q))
+        self._generated_at[src] += 1
         self.generated_total += 1
         self.in_flight += 1
         if self._measuring:
             self.generated_window += 1
-        self._append(src, pkt)
         return pkt
-
-    def _spawn_random(self, src: int) -> None:
-        hosts = self.hosts
-        j = self._dest_rng.randrange(len(hosts) - 1)
-        if j >= self._host_pos[src]:
-            j += 1
-        self._new_packet(src, hosts[j])
 
     # -- dynamics ----------------------------------------------------------
 
@@ -275,6 +269,7 @@ class SimState:
 
     def run_steps(self, count: int) -> None:
         """Advance `count` time steps, in blocks of at most _BLOCK_STEPS."""
+        _check_steps("count", count)
         for start in range(0, count, _BLOCK_STEPS):
             self._run_block(min(_BLOCK_STEPS, count - start))
 
@@ -283,57 +278,121 @@ class SimState:
 
         Each source's bits for the block are drawn up front. A source owns
         its RNG, so its stream is the same as one bit per step, and hosts
-        still spawn in ascending order within a step.
+        still spawn in ascending order within a step. The counters live in
+        locals for the block and are stored back when it ends or raises.
         """
+        hosts = self.hosts
+        generated_at = self._generated_at
         spawners: list[list[int]] = [[] for _ in range(count)]
-        for h, src in self.sources.items():
-            for t in np.flatnonzero(src.bits(count)).tolist():
-                spawners[t].append(h)
+        for i, (h, src) in enumerate(self.sources.items()):  # keyed in host order
+            on = np.flatnonzero(src.bits(count)).tolist()
+            generated_at[h] += len(on)
+            for t in on:
+                spawners[t].append(i)
 
+        queues = self._queues
+        active = self._active
         adj = self._adj
         routes = self._routes
-        dist = self.dmat.dist
         counts = self.link_counts
         tie_rng = self._tie_rng
-        proxy = self._proxy
+        getrandbits = self._dest_rng.getrandbits
+        others = len(hosts) - 1
+        width = others.bit_length()
+        series = self.queue_series
+        measuring = self._measuring
         check = self._check
-        for on_hosts in spawners:
-            t = self.clock
-            for h in on_hosts:
-                self._spawn_random(h)
+        log = self.packets
+        arrivals = self._arrivals
+        dist = self.dmat.dist
 
-            for node in sorted(self._active):
-                pkt = self._pop_head(node)
-                dst = pkt.dst
-                k = _route(routes[dst][node], counts[node], tie_rng)
-                counts[node][k] += 1
-                if pkt.src != node:
-                    proxy[node] += 1
-                nxt = adj[node][k]
-                if nxt == dst:
-                    pkt.delivered_at = t + 1
-                    self.delivered_total += 1
-                    self.in_flight -= 1
-                    if self._measuring:
-                        self.delivered_window += 1
-                        self._delay_sum += pkt.delivered_at - pkt.created_at
-                    if check and pkt.delivered_at - pkt.created_at < dist[pkt.src, dst]:
-                        raise InvariantViolation(
-                            f"packet {pkt.id} beat the hop-distance lower bound"
-                        )
-                else:
-                    self._append(nxt, pkt)
+        t = self.clock
+        pid = self.generated_total
+        delivered = self.delivered_total
+        in_flight = self.in_flight
+        max_queue = self.max_queue
+        generated_window = self.generated_window
+        delivered_window = self.delivered_window
+        delay_sum = self._delay_sum
+        try:
+            for on_hosts in spawners:
+                for i in on_hosts:
+                    # randrange(others) without its two Python-level calls:
+                    # the same rejection draw, so the same stream
+                    j = getrandbits(width)
+                    while j >= others:
+                        j = getrandbits(width)
+                    if j >= i:
+                        j += 1
+                    h = hosts[i]
+                    dst = hosts[j]
+                    q = queues[h]
+                    q.append((pid, h, dst, t))
+                    active.add(h)
+                    if len(q) > max_queue:
+                        max_queue = len(q)
+                    if check:
+                        log.append(Packet(pid, h, dst, t))
+                        arrivals[h].append(pid)
+                    pid += 1
+                in_flight += len(on_hosts)
+                if measuring:
+                    generated_window += len(on_hosts)
 
-            self.clock = t + 1
-            self.queue_series.append(self.in_flight)
-            if check:
-                self._assert_invariants()
+                for node in sorted(active):
+                    q = queues[node]
+                    pkt = q.popleft()
+                    if not q:
+                        active.discard(node)
+                    if check and arrivals[node].popleft() != pkt[0]:
+                        raise InvariantViolation(f"vertex {node} broke FIFO order")
+                    dst = pkt[2]
+                    cand = routes[dst][node]
+                    row = counts[node]
+                    k = cand[0] if len(cand) == 1 else _route(cand, row, tie_rng)
+                    row[k] += 1
+                    nxt = adj[node][k]
+                    if nxt == dst:
+                        delivered += 1
+                        in_flight -= 1
+                        if measuring:
+                            delivered_window += 1
+                            delay_sum += t + 1 - pkt[3]
+                        if check:
+                            rec = log[pkt[0]]
+                            rec.delivered_at = t + 1
+                            if rec.delivered_at - rec.created_at < dist[rec.src, dst]:
+                                raise InvariantViolation(
+                                    f"packet {rec.id} beat the hop-distance lower bound"
+                                )
+                    else:
+                        q = queues[nxt]
+                        q.append(pkt)
+                        active.add(nxt)
+                        if len(q) > max_queue:
+                            max_queue = len(q)
+                        if check:
+                            arrivals[nxt].append(pkt[0])
 
-    def _assert_invariants(self) -> None:
+                t += 1
+                series.append(in_flight)
+                if check:
+                    self._assert_invariants(pid, delivered, in_flight)
+        finally:
+            self.clock = t
+            self.generated_total = pid
+            self.delivered_total = delivered
+            self.in_flight = in_flight
+            self.max_queue = max_queue
+            self.generated_window = generated_window
+            self.delivered_window = delivered_window
+            self._delay_sum = delay_sum
+
+    def _assert_invariants(self, generated: int, delivered: int, in_flight: int) -> None:
         queued = sum(len(q) for q in self._queues)
-        if queued != self.in_flight:
+        if queued != in_flight:
             raise InvariantViolation("queue census disagrees with in-flight count")
-        if self.generated_total != self.delivered_total + self.in_flight:
+        if generated != delivered + in_flight:
             raise InvariantViolation("packet conservation violated")
 
     # -- inspection ----------------------------------------------------------
@@ -381,5 +440,15 @@ def run(config: SimConfig, dmat: DistanceMatrix | None = None) -> SimMetrics:
 
 def measure_load_proxy(state: SimState) -> np.ndarray:
     """Per-vertex count of transit packets forwarded (packets originated at
-    the vertex itself excluded), comparable in rank to the static load."""
-    return np.asarray(state._proxy, dtype=np.float64)
+    the vertex itself excluded), comparable in rank to the static load.
+
+    A packet never revisits a vertex, so each own packet a vertex has
+    forwarded is one it generated and no longer holds: the transit count
+    is all forwards minus (own generated - own still queued).
+    """
+    own_queued = [sum(1 for p in q if p[1] == v) for v, q in enumerate(state._queues)]
+    proxy = [
+        sum(row) - generated + queued
+        for row, generated, queued in zip(state.link_counts, state._generated_at, own_queued)
+    ]
+    return np.asarray(proxy, dtype=np.float64)

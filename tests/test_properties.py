@@ -1,4 +1,6 @@
 """Property tests over random small graphs (hypothesis)."""
+import math
+
 import numpy as np
 import pytest
 
@@ -6,14 +8,19 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from netqsim import (
+    ErramilliParams,
     Graph,
     NoReachablePairs,
+    SimConfig,
     all_pairs_hop_distances,
     brute_force_load,
     characteristic_path_length,
     compute_load,
     load_and_cpl,
+    measure_load_proxy,
+    run,
 )
+from netqsim.sim import SimState
 from _helpers import reference_load
 
 
@@ -24,6 +31,16 @@ def small_graphs(draw) -> Graph:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(n, [p for p, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def connected_graphs(draw) -> Graph:
+    """2 to 12 vertices: a random tree plus an arbitrary set of extra edges."""
+    n = draw(st.integers(2, 12))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in tree]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, tree + [p for p, k in zip(pairs, keep) if k])
 
 
 @settings(max_examples=200, deadline=None)
@@ -45,3 +62,37 @@ def test_cpl_from_one_pass_matches_dense_oracle(g):
     load, cpl = load_and_cpl(g)
     assert cpl == characteristic_path_length(dmat)
     assert np.array_equal(load, reference_load(g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g=connected_graphs(),
+    data=st.data(),
+    d=st.floats(0.3, 0.95),
+    rho=st.floats(0.2, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_checking_does_not_perturb_the_run(g, data, d, rho, seed):
+    traffic = ErramilliParams(2.0, 2.0, d)
+    dmat = all_pairs_hop_distances(g)
+    hosts = data.draw(st.lists(st.integers(0, g.n_vertices - 1), min_size=2, unique=True))
+    states = []
+    for check in (False, True):  # the checked run raises on any breach
+        state = SimState(g, dmat, hosts, traffic=traffic, seed=seed, check_invariants=check)
+        state.run_steps(150)
+        state.begin_measurement()
+        state.run_steps(250)
+        states.append(state)
+    plain, checked = states
+    for name in ("clock", "generated_total", "delivered_total", "in_flight", "max_queue",
+                 "generated_window", "delivered_window", "queue_series", "link_counts"):
+        assert getattr(plain, name) == getattr(checked, name), name
+    assert repr(plain.mean_delivery_time()) == repr(checked.mean_delivery_time())
+    assert np.array_equal(measure_load_proxy(plain), measure_load_proxy(checked))
+    if math.floor(rho * g.n_vertices + 0.5) >= 2:  # assign_hosts' count
+        metrics = [
+            run(SimConfig(graph=g, rho=rho, traffic=traffic, warmup_steps=50,
+                          measure_steps=200, seed=seed, check_invariants=check), dmat=dmat)
+            for check in (False, True)
+        ]
+        assert repr(metrics[0]) == repr(metrics[1])

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -226,6 +227,14 @@ def test_invariant_violation_is_raised():
     with pytest.raises(InvariantViolation, match="lower bound"):
         st.run_steps(3)
 
+    st = make_state(path_graph(4), hosts=[0, 3], traffic=None, check_invariants=True)
+    st.inject(0, 3)
+    st.inject(0, 3)
+    q = st._queues[0]
+    q[0], q[1] = q[1], q[0]  # the second arrival now leaves first
+    with pytest.raises(InvariantViolation, match="FIFO"):
+        st.step()
+
 
 def test_invariant_violation_survives_python_O():
     code = (
@@ -257,6 +266,10 @@ def test_inject_validation():
         st.inject(0, 1)  # 1 is not a host
     with pytest.raises(ValueError):
         st.inject(0, 0)
+    for count in (-3, 1.5):
+        with pytest.raises(ValueError, match="count"):
+            st.run_steps(count)
+    assert st.clock == 0
 
 
 def test_generated_packets_target_other_hosts():
@@ -283,6 +296,10 @@ def test_run_requires_connected_graph():
     g = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(ValueError):
         run(SimConfig(graph=g, rho=1.0, measure_steps=10))
+    # step counts that are not integers >= 0 are rejected up front
+    for bad in ({"warmup_steps": 1.5}, {"warmup_steps": -1}, {"measure_steps": 2.0}):
+        with pytest.raises(ValueError, match="steps"):
+            SimConfig(graph=g, rho=1.0, **bad)
 
 
 def test_hosts_must_be_mutually_reachable():
@@ -327,6 +344,27 @@ def test_delivery_times_at_least_hop_distance():
     assert delivered
     for p in delivered:
         assert p.delivered_at - p.created_at >= int(dmat.dist[p.src, p.dst])
+
+
+def test_simmetrics_digest_is_pinned():
+    # SHA-256 over repr(SimMetrics) of 18 runs, unchanged since the
+    # simulator's first release; blocks of 1024 source bits are crossed.
+    # It depends on numpy's default_rng streams (graphs, hosts, sources)
+    # as well as on the simulator.
+    digest = hashlib.sha256()
+    for alpha in (0.0, 0.5, 1.0):
+        for seed in (1, 2):
+            g, _ = giant_component(
+                generate_static_model(GenParams.from_avg_degree(200, 3.0, alpha, seed))
+            )
+            dmat = all_pairs_hop_distances(g)
+            for d in (0.95, 0.85, 0.7):
+                cfg = SimConfig(graph=g, traffic=ErramilliParams(2.0, 2.0, d),
+                                warmup_steps=300, measure_steps=3000, seed=seed)
+                digest.update(repr(run(cfg, dmat=dmat)).encode())
+    assert digest.hexdigest() == (
+        "9c27fcf6a8f6743d132a575627eb462af54aea0e984d121eca4be95eb3b4eb79"
+    )
 
 
 def test_run_is_deterministic():
@@ -387,8 +425,29 @@ def test_load_proxy_counts_unique_path_interior():
     g = path_graph(5)
     st = make_state(g, hosts=[0, 4], traffic=None)
     st.inject(0, 4)
+    assert measure_load_proxy(st).tolist() == [0.0] * 5
+    st.step()  # the packet has left its origin and is not counted there
+    assert measure_load_proxy(st).tolist() == [0.0] * 5
     st.run_steps(10)
     assert measure_load_proxy(st).tolist() == [0.0, 1.0, 1.0, 1.0, 0.0]
+
+
+def test_load_proxy_pinned_on_a_saturated_run():
+    # values of the simulator that counted transit forwards one by one;
+    # the backlog grows throughout (310, 835, 1159 in flight at steps
+    # 500, 1000, 1500), so many own packets are still queued at the end
+    g, _ = giant_component(
+        generate_static_model(GenParams.from_avg_degree(60, 3.0, 1.0, 2))
+    )
+    st = SimState(g, all_pairs_hop_distances(g), assign_hosts(g, 0.3, 2),
+                  traffic=ErramilliParams(2.0, 2.0, 0.7), seed=2)
+    st.run_steps(1500)
+    assert (st.generated_total, st.in_flight) == (5298, 1159)
+    assert measure_load_proxy(st).tolist() == [
+        1495, 1439, 618, 79, 922, 137, 0, 1048, 631, 732, 0, 607, 196, 210, 0, 0, 0,
+        55, 54, 0, 0, 0, 140, 0, 0, 0, 0, 45, 0, 0, 0, 0, 369, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+    ]
 
 
 def test_load_proxy_rank_correlates_with_static_load():
