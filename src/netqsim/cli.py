@@ -12,8 +12,6 @@ import numpy as np
 
 from .graphs import (
     GenParams,
-    Graph,
-    all_pairs_hop_distances,
     generate_static_model,
     giant_component,
     read_edge_list,
@@ -81,18 +79,19 @@ class ExperimentPlan:
             raise ValidationError("avg_degree: resolves to zero edges")
         if n_edges > self.n_vertices * (self.n_vertices - 1) // 2:
             raise ValidationError("avg_degree: exceeds the simple-graph maximum")
-        if not self.alphas:
-            raise ValidationError("alphas: need at least one value")
+        for name in ("alphas", "lambdas", "seeds"):
+            values = getattr(self, name)
+            if not values:
+                raise ValidationError(f"{name}: need at least one value")
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValidationError(f"{name}: {repeated[0]} repeated")
         for a in self.alphas:
             if not 0.0 <= a <= 1.0:
                 raise ValidationError(f"alphas: {a} outside [0, 1]")
-        if not self.lambdas:
-            raise ValidationError("lambdas: need at least one value")
         for lam in self.lambdas:
             if not 0.0 < lam < 1.0:
                 raise ValidationError(f"lambdas: {lam} outside (0, 1)")
-        if not self.seeds:
-            raise ValidationError("seeds: need at least one seed")
         if not 0.0 < self.rho <= 1.0:
             raise ValidationError(f"rho: {self.rho} outside (0, 1]")
         for name, m in (("m1", self.m1), ("m2", self.m2)):
@@ -106,21 +105,18 @@ class ExperimentPlan:
             raise ValidationError("calib_tol: must lie in (0, 1)")
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-
-
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+def _list_of(kind):
+    """Parser of a comma-separated list of `kind` values."""
+    return lambda text: [kind(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
 # config key -> (plan attribute, parser)
 _PLAN_KEYS = {
     "n": ("n_vertices", int),
     "avg_degree": ("avg_degree", float),
-    "alphas": ("alphas", _parse_float_list),
-    "lambdas": ("lambdas", _parse_float_list),
-    "seeds": ("seeds", _parse_int_list),
+    "alphas": ("alphas", _list_of(float)),
+    "lambdas": ("lambdas", _list_of(float)),
+    "seeds": ("seeds", _list_of(int)),
     "rho": ("rho", float),
     "m1": ("m1", float),
     "m2": ("m2", float),
@@ -175,8 +171,7 @@ def gamma_of_alpha(alpha: float) -> float:
 def _build_topology(plan: ExperimentPlan, alpha: float, seed: int):
     """Generate, reduce to the giant component, and compute its
     characteristic path length and load statistics. Both come from the one
-    BFS pass of `load_and_cpl`, so no dense distance matrix is built here;
-    the fig34 sweep builds that matrix for the simulator only."""
+    BFS pass of `load_and_cpl`; no sweep builds a dense distance matrix."""
     params = GenParams.from_avg_degree(plan.n_vertices, plan.avg_degree, alpha, seed)
     g, _ = giant_component(generate_static_model(params))
     load, cpl = load_and_cpl(g)
@@ -252,7 +247,6 @@ def run_fig34_sweep(
                 progress(f"fig34 alpha={alpha} seed={seed}")
             try:
                 g, cpl, stats = _build_topology(plan, alpha, seed)
-                dmat = all_pairs_hop_distances(g)  # the simulator's routing needs it
             except Exception as exc:  # noqa: BLE001 - cell isolation by contract
                 for lam in plan.lambdas:
                     failures.append(
@@ -269,7 +263,7 @@ def run_fig34_sweep(
                         measure_steps=plan.measure_steps,
                         seed=seed,
                     )
-                    metrics = run_sim(config, dmat=dmat)
+                    metrics = run_sim(config)
                 except Exception as exc:  # noqa: BLE001
                     failures.append(
                         {"alpha": alpha, "lambda": lam, "seed": seed, "error": repr(exc)}
@@ -480,9 +474,8 @@ def _cmd_sweep(args) -> int:
         sweep, columns = run_fig34_sweep, FIG34_COLUMNS
     rows, avg, failures = sweep(plan, progress=progress)
     emit_csv(rows, plan.out, columns)
-    avg_columns = list(avg[0].keys()) if avg else []
     if avg:
-        emit_csv(avg, _avg_path(plan.out), avg_columns)
+        emit_csv(avg, _avg_path(plan.out), list(avg[0]))
     for failure in failures:
         print(f"failed cell: {failure}", file=sys.stderr)
     print(

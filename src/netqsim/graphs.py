@@ -7,13 +7,14 @@ random graph and alpha>0 yields power-law degree tails.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 UNREACHABLE = -1
 
@@ -168,37 +169,33 @@ def generate_static_model(params: GenParams, attempt_budget: int | None = None) 
     return Graph(n, edges)
 
 
+def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Degrees, row pointers and neighbour indices of g's adjacency lists."""
+    deg = np.fromiter(map(len, g.adjacency), dtype=np.intp, count=g.n_vertices)
+    indptr = np.concatenate(([0], np.cumsum(deg)))
+    indices = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.intp, count=indptr[-1])
+    return deg, indptr, indices
+
+
+def _adjacency_matrix(g: Graph) -> csr_matrix:
+    _, indptr, indices = _csr(g)
+    n = g.n_vertices
+    return csr_matrix((np.ones(indices.size, dtype=np.int8), indices, indptr), shape=(n, n))
+
+
 def giant_component(g: Graph) -> tuple[Graph, dict[int, int]]:
     """Extract the largest connected component, relabeled contiguously.
 
     Returns the component subgraph and the old-index -> new-index map.
     Equal-size ties go to the component containing the smallest original
-    index (components are discovered in ascending order of their minimum
-    vertex, so the first maximum wins).
+    index.
     """
-    n = g.n_vertices
-    visited = [False] * n
-    best: list[int] = []
-    for s in range(n):
-        if visited[s]:
-            continue
-        comp = [s]
-        visited[s] = True
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            for w in g.adjacency[v]:
-                if not visited[w]:
-                    visited[w] = True
-                    comp.append(w)
-                    q.append(w)
-        if len(comp) > len(best):
-            best = comp
-    old = sorted(best)
+    _, labels = connected_components(_adjacency_matrix(g), directed=False)
+    sizes = np.bincount(labels)
+    first = np.flatnonzero(sizes[labels] == sizes.max())[0]
+    old = np.flatnonzero(labels == labels[first]).tolist()
     remap = {o: i for i, o in enumerate(old)}
-    edges = [
-        (remap[u], remap[v]) for u in old for v in g.adjacency[u] if u < v
-    ]
+    edges = [(remap[u], remap[v]) for u in old for v in g.adjacency[u] if u < v]
     return Graph(len(old), edges), remap
 
 
@@ -238,17 +235,9 @@ class DistanceMatrix:
 
 def all_pairs_hop_distances(g: Graph) -> DistanceMatrix:
     """BFS hop counts between every vertex pair (scipy csgraph backend)."""
-    n = g.n_vertices
-    edges = g.edges()
-    if edges:
-        rows = [u for u, v in edges] + [v for u, v in edges]
-        cols = [v for u, v in edges] + [u for u, v in edges]
-        mat = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
-    else:
-        mat = csr_matrix((n, n), dtype=np.int8)
-    d = shortest_path(mat, method="D", directed=False, unweighted=True)
+    d = shortest_path(_adjacency_matrix(g), method="D", directed=False, unweighted=True)
     d[np.isinf(d)] = UNREACHABLE  # in place: no second N x N float64 array
-    return DistanceMatrix(n, d.astype(np.int32))
+    return DistanceMatrix(g.n_vertices, d.astype(np.int32))
 
 
 def characteristic_path_length(dmat: DistanceMatrix) -> float:

@@ -7,8 +7,10 @@ blocks of sources. It is bit-identical to the sequential per-source loop,
 which the tests keep as their reference. The same BFS visits every hop
 distance, so `load_and_cpl` also returns the characteristic path length from
 that one pass, equal to `characteristic_path_length` of the dense distance
-matrix without building it. `brute_force_load` enumerates every shortest
-path explicitly and exists solely to cross-check it.
+matrix without building it. The simulator routes by `_hop_distances`, a
+plain BFS from its hosts over the same frontier expansion as Brandes'.
+`brute_force_load` enumerates every shortest path explicitly and exists
+solely to cross-check it.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, NoReachablePairs
+from .graphs import UNREACHABLE, Graph, NoReachablePairs, _csr
 
 _BRUTE_FORCE_CAP = 16
 # Cells (source, vertex) per block of compute_load: small enough that the
@@ -77,32 +79,64 @@ def load_and_cpl(g: Graph) -> tuple[np.ndarray, float]:
     return load, hops / pairs
 
 
+def _expand(csr, front: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (frontier cell, neighbour) pair of a BFS level, in frontier
+    order, then adjacency order: the neighbour cells (a cell of source row
+    r and vertex v is r * n + v) and the frontier index of each."""
+    deg, indptr, indices = csr
+    front_v = front % deg.size
+    cnt = deg.take(front_v)
+    ends = np.cumsum(cnt)
+    seg = np.repeat(np.arange(cnt.size), cnt)
+    cand = (indptr.take(front_v) - ends + cnt).take(seg)
+    cand += np.arange(int(ends[-1]))
+    cand = indices.take(cand)
+    cand += (front - front_v).take(seg)
+    return cand, seg
+
+
+def _blocks(n: int, sources: np.ndarray):
+    """`sources` in consecutive blocks of about _BLOCK_CELLS cells."""
+    block = max(1, _BLOCK_CELLS // n)
+    return (sources[s0 : s0 + block] for s0 in range(0, sources.size, block))
+
+
+def _hop_distances(g: Graph, sources) -> np.ndarray:
+    """Hop counts from each source to every vertex, one row per source;
+    UNREACHABLE (-1) marks vertices in another component."""
+    n = g.n_vertices
+    csr = _csr(g)
+    rows = []
+    for block in _blocks(n, np.asarray(sources, dtype=np.intp)):
+        dist = np.full((block.size, n), UNREACHABLE, dtype=np.int32)
+        front = np.arange(block.size) * n + block  # flat cells, as in _expand
+        depth = 0
+        while front.size:
+            dist.put(front, depth)
+            depth += 1
+            cand, _ = _expand(csr, front)
+            front = np.unique(cand.compress(dist.take(cand) < 0))
+        rows.append(dist)
+    return np.concatenate(rows)
+
+
 def _brandes(g: Graph) -> tuple[np.ndarray, np.ndarray, int]:
     """Load without endpoint terms, the number of vertices each vertex
     reaches, and the total hop count over ordered reachable pairs."""
     n = g.n_vertices
-    deg = np.fromiter(map(len, g.adjacency), dtype=np.intp, count=n)
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(deg, out=indptr[1:])
-    indices = np.fromiter(
-        (w for nbrs in g.adjacency for w in nbrs), dtype=np.intp, count=int(indptr[-1])
-    )
+    csr = _csr(g)
     load = np.zeros(n)
     reach = np.zeros(n, dtype=np.intp)
     hops = 0
-    block = max(1, _BLOCK_CELLS // n)
-    for s0 in range(0, n, block):
-        sources = np.arange(s0, min(n, s0 + block))
-        delta, reach[sources], block_hops = _dependencies(deg, indptr, indices, sources)
+    for sources in _blocks(n, np.arange(n)):
+        delta, reach[sources], block_hops = _dependencies(csr, sources)
         hops += block_hops
         for row in delta:  # ascending source order, as a per-source loop adds
             load += row
     return load, reach, hops
 
 
-def _dependencies(
-    deg: np.ndarray, indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
+def _dependencies(csr, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Brandes dependencies of a block of sources on every vertex.
 
     Returns delta, one row per source with its own entry zeroed, the number
@@ -116,13 +150,12 @@ def _dependencies(
     reverse BFS order, so that every delta[v] receives its terms in the same
     order, and hence rounds the same way, as a sequential reverse walk.
     """
-    n = deg.size
+    n = csr[0].size
     b = sources.size
     row_base = np.arange(b, dtype=np.intp) * n
     dist = np.full(b * n, -1, dtype=np.intp)
     sigma = np.zeros(b * n)
     first = np.full(b * n, _NO_POSITION, dtype=np.intp)
-    front_v = sources
     front = row_base + sources
     dist[front] = 0
     sigma[front] = 1.0
@@ -132,14 +165,7 @@ def _dependencies(
     depth = 0
     hops = 0
     while True:
-        # every (frontier cell, neighbour) pair in frontier order, then adjacency order
-        cnt = deg.take(front_v)
-        ends = np.cumsum(cnt)
-        seg = np.repeat(np.arange(cnt.size), cnt)
-        cand = (indptr.take(front_v) - ends + cnt).take(seg)
-        cand += np.arange(int(ends[-1]))
-        cand = indices.take(cand)
-        cand += (front - front_v).take(seg)
+        cand, seg = _expand(csr, front)
         cand_dist = dist.take(cand)
         if depth:
             back = cand_dist == depth - 1
@@ -164,7 +190,6 @@ def _dependencies(
                 f"geodesic counts from source {src} exceed exact float64 range (2**53)"
             )
         front = nxt
-        front_v = nxt % n
     delta = np.zeros(b * n)
     for front, pred, seg in reversed(levels):
         coef = (1.0 + delta.take(front)) / sigma.take(front)

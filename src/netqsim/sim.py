@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import UNREACHABLE, DistanceMatrix, Graph, all_pairs_hop_distances
+from .graphs import UNREACHABLE, DistanceMatrix, Graph
+from .load import _hop_distances
 from .traffic import ErramilliParams, ErramilliSource
 
 
@@ -130,6 +131,8 @@ def select_next_hop(
     `link_counts[v][k]` counts packets forwarded from v over its k-th
     adjacency entry. Does not mutate any state.
     """
+    if dmat.n != g.n_vertices:
+        raise ValueError("distance matrix size does not match graph")
     if node == dst:
         raise ValueError("packet is already at its destination")
     cand = _closer_positions(g.adjacency[node], dmat.dist[dst].tolist(), node)
@@ -155,16 +158,15 @@ class SimState:
     ascending index order, which pins the tie-break RNG stream and makes
     runs bit-reproducible.
 
-    Routes are tabulated once, `_routes[dst][v]` for every host `dst`; hosts
-    must reach each other. A queued packet is a tuple (id, src, dst,
-    created_at). Under `check_invariants` only, `packets` logs a `Packet`
-    per id and each queue's pops are checked against its arrival order.
+    Routes are tabulated from one BFS per host, `_routes[dst][v]` for every
+    host `dst`; hosts must reach each other. A queued packet is a tuple (id,
+    src, dst, created_at). Under `check_invariants` only, `packets` logs a
+    `Packet` per id and each queue's pops are checked against its arrival order.
     """
 
     def __init__(
         self,
         graph: Graph,
-        dmat: DistanceMatrix,
         hosts: list[int],
         traffic: ErramilliParams | None = None,
         seed: int = 0,
@@ -172,19 +174,17 @@ class SimState:
         check_invariants: bool = False,
     ):
         n = graph.n_vertices
-        if dmat.n != n:
-            raise ValueError("distance matrix size does not match graph")
         if len(hosts) < 2:
             raise TooFewHosts("need at least 2 hosts")
         if len(set(hosts)) != len(hosts) or not all(0 <= h < n for h in hosts):
             raise ValueError("hosts must be distinct vertex indices")
         hosts = sorted(hosts)
+        dist = _hop_distances(graph, hosts)  # row i: hop counts to hosts[i]
         for h in hosts:  # reachability is transitive: one row decides every pair
-            if dmat.dist[hosts[0], h] == UNREACHABLE:
+            if dist[0, h] == UNREACHABLE:
                 raise ValueError(f"hosts {hosts[0]} and {h} are in different components")
 
         self.graph = graph
-        self.dmat = dmat
         self.hosts = hosts
         self._host_set = set(hosts)
         self._adj = graph.adjacency
@@ -192,8 +192,8 @@ class SimState:
 
         shared: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._routes: list[list[tuple[int, ...]] | None] = [None] * n
-        for dst in hosts:
-            row = dmat.dist[dst].tolist()
+        for dst, row in zip(hosts, dist):
+            row = row.tolist()
             cands = (_closer_positions(nbrs, row, v) for v, nbrs in enumerate(self._adj))
             self._routes[dst] = [shared.setdefault(c, c) for c in cands]
 
@@ -201,19 +201,18 @@ class SimState:
         dest_ss, tie_ss, *orbit_ss = ss.spawn(2 + (len(self.hosts) if traffic else 0))
         self._dest_rng = random.Random(int(dest_ss.generate_state(1)[0]))
         self._tie_rng = random.Random(int(tie_ss.generate_state(1)[0]))
-        self.sources: dict[int, ErramilliSource] = {}
-        if traffic is not None:
-            for h, child in zip(self.hosts, orbit_ss):
-                self.sources[h] = ErramilliSource(
-                    traffic, seed=child, burn_in=source_burn_in
-                )
+        self.sources: dict[int, ErramilliSource] = {  # no orbit seeds without traffic
+            h: ErramilliSource(traffic, seed=child, burn_in=source_burn_in)
+            for h, child in zip(self.hosts, orbit_ss)
+        }
 
         self._queues: list[deque[tuple[int, int, int, int]]] = [deque() for _ in range(n)]
         self.link_counts: list[list[int]] = [[0] * len(nbrs) for nbrs in self._adj]
         self._generated_at = [0] * n
         self._active: set[int] = set()
 
-        # Under checking: every packet by id, and each queue's ids in arrival order.
+        # Under checking: every packet by id, queue ids in arrival order, hop counts.
+        self._host_dist = dict(zip(hosts, dist)) if check_invariants else None
         self.packets: list[Packet] | None = [] if check_invariants else None
         self._arrivals = [deque() for _ in range(n)] if check_invariants else None
         self.clock = 0
@@ -304,7 +303,7 @@ class SimState:
         check = self._check
         log = self.packets
         arrivals = self._arrivals
-        dist = self.dmat.dist
+        host_dist = self._host_dist
 
         t = self.clock
         pid = self.generated_total
@@ -361,7 +360,7 @@ class SimState:
                         if check:
                             rec = log[pkt[0]]
                             rec.delivered_at = t + 1
-                            if rec.delivered_at - rec.created_at < dist[rec.src, dst]:
+                            if rec.delivered_at - rec.created_at < host_dist[dst][rec.src]:
                                 raise InvariantViolation(
                                     f"packet {rec.id} beat the hop-distance lower bound"
                                 )
@@ -403,7 +402,7 @@ class SimState:
         return self._delay_sum / self.delivered_window
 
 
-def run(config: SimConfig, dmat: DistanceMatrix | None = None) -> SimMetrics:
+def run(config: SimConfig) -> SimMetrics:
     """Execute warmup then measurement; every host must reach every other.
 
     Warmup steps feed the queues but are excluded from the window counters;
@@ -411,13 +410,9 @@ def run(config: SimConfig, dmat: DistanceMatrix | None = None) -> SimMetrics:
     measurement window. Fully deterministic for a given (config, seed).
     """
     g = config.graph
-    if dmat is None:
-        dmat = all_pairs_hop_distances(g)
-    hosts = assign_hosts(g, config.rho, config.seed)
     state = SimState(
         g,
-        dmat,
-        hosts,
+        assign_hosts(g, config.rho, config.seed),
         traffic=config.traffic,
         seed=config.seed,
         source_burn_in=config.source_burn_in,

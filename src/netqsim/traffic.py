@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -254,16 +255,8 @@ def write_bit_trace(bits, path: str, fmt: str = "raw") -> None:
     if fmt == "raw":
         body = "\n".join(str(int(b)) for b in arr)
     elif fmt == "rle":
-        tokens = []
-        i = 0
-        n = arr.size
-        while i < n:
-            j = i
-            while j < n and arr[j] == arr[i]:
-                j += 1
-            tokens.append(f"{'On' if arr[i] else 'Off'}:{j - i}")
-            i = j
-        body = " ".join(tokens)
+        runs = groupby(arr.tolist())
+        body = " ".join(f"{'On' if b else 'Off'}:{len(list(run))}" for b, run in runs)
     else:
         raise ValueError(f"unknown trace format {fmt!r}")
     with open(path, "w") as f:
@@ -271,15 +264,20 @@ def write_bit_trace(bits, path: str, fmt: str = "raw") -> None:
 
 
 def read_bit_trace(path: str) -> np.ndarray:
-    """Read either trace format back into a uint8 bit vector."""
+    """Read either trace format back into a uint8 bit vector. A raw bit
+    other than 0/1, or a run token other than `On:<count>` / `Off:<count>`,
+    raises ValueError naming the path and the 1-based line."""
     with open(path) as f:
-        content = f.read().strip()
-    if not content:
-        return np.zeros(0, dtype=np.uint8)
-    if content[0] in "01":
-        return np.array([int(line) for line in content.split()], dtype=np.uint8)
+        lines = f.read().splitlines()
+    raw = "".join(lines).lstrip()[:1] in "01"  # an empty trace reads either way
     out: list[int] = []
-    for token in content.split():
-        state, length = token.split(":")
-        out.extend([1 if state == "On" else 0] * int(length))
+    tokens = ((lineno, token) for lineno, line in enumerate(lines, 1) for token in line.split())
+    for lineno, token in tokens:
+        state, _, length = token.partition(":")
+        if raw and token in ("0", "1"):
+            out.append(int(token))
+        elif not raw and state in ("On", "Off") and length.isdecimal():
+            out.extend([int(state == "On")] * int(length))
+        else:
+            raise ValueError(f"{path}, line {lineno}: bad {'bit' if raw else 'run'} {token!r}")
     return np.array(out, dtype=np.uint8)

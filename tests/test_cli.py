@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import netqsim.graphs
 from netqsim import read_bit_trace, read_edge_list
 from netqsim.cli import (
     FIG12_COLUMNS,
@@ -81,6 +82,14 @@ def test_validation_errors_name_the_field():
         parse_plan("m1 = 1.0\n")
 
 
+@pytest.mark.parametrize("field, values, repeated", [
+    ("seeds", "1,1", "1"), ("lambdas", "0.1,0.2,0.1", "0.1"), ("alphas", "0,0", "0.0"),
+])
+def test_repeated_plan_values_are_rejected(field, values, repeated):
+    with pytest.raises(ValidationError, match=f"^{field}: {repeated} repeated$"):
+        parse_plan(f"{field} = {values}\n")
+
+
 def test_gamma_of_alpha():
     assert gamma_of_alpha(0.5) == 3.0
     assert gamma_of_alpha(1.0) == 2.0
@@ -112,13 +121,11 @@ def test_emit_csv_round_trip(tmp_path):
 
 
 def test_fig12_golden_csv(tmp_path, monkeypatch):
-    import netqsim.cli as cli
-
-    def no_apsp(g):
+    def no_apsp(*args, **kwargs):
         raise AssertionError("fig12 built the dense distance matrix")
 
-    # cpl and load come from one BFS pass; the N x N matrix is the simulator's
-    monkeypatch.setattr(cli, "all_pairs_hop_distances", no_apsp)
+    # cpl and load come from one BFS pass
+    monkeypatch.setattr(netqsim.graphs, "shortest_path", no_apsp)
     plan = ExperimentPlan(n_vertices=30, avg_degree=2.0, alphas=[0.0, 1.0], seeds=[1, 2])
     rows, avg, failures = run_fig12_sweep(plan)
     assert failures == []
@@ -252,10 +259,10 @@ def test_fig34_sweep_isolates_failing_cells(monkeypatch):
 
     real_run = cli.run_sim
 
-    def flaky_run(config, dmat=None):
+    def flaky_run(config):
         if config.seed == 1:
             raise RuntimeError("boom")
-        return real_run(config, dmat=dmat)
+        return real_run(config)
 
     monkeypatch.setattr(cli, "run_sim", flaky_run)
     plan = ExperimentPlan(
@@ -286,25 +293,18 @@ def test_fig12_sweep_isolates_failing_cells(monkeypatch):
     assert avg[0]["n_seeds"] == 2
 
 
-def test_fig34_builds_one_distance_matrix_per_graph(monkeypatch):
-    import netqsim.cli as cli
+def test_fig34_builds_no_distance_matrix(monkeypatch):
+    def no_apsp(*args, **kwargs):
+        raise AssertionError("fig34 built the dense distance matrix")
 
-    calls = []
-    real_apsp = cli.all_pairs_hop_distances
-
-    def counting_apsp(g):
-        calls.append(g.n_vertices)
-        return real_apsp(g)
-
-    monkeypatch.setattr(cli, "all_pairs_hop_distances", counting_apsp)
+    # the simulator routes by one BFS per host
+    monkeypatch.setattr(netqsim.graphs, "shortest_path", no_apsp)
     plan = ExperimentPlan(
         n_vertices=30, avg_degree=2.0, alphas=[0.0, 1.0], lambdas=[0.1, 0.2],
         seeds=[0, 1], warmup_steps=20, measure_steps=100,
     )
     rows, _, failures = run_fig34_sweep(plan)
     assert failures == [] and len(rows) == 8
-    # one matrix per (alpha, seed), shared by both lambdas of the graph
-    assert calls == [r["n_giant"] for r in rows[::2]]
 
 
 def test_sweep_config_file(tmp_path):

@@ -131,6 +131,14 @@ def test_cpl_from_one_pass_equals_dense_oracle():
         assert str(kernel.value) == str(dense.value)
 
 
+def test_hop_distances_equal_dense_rows():
+    for g in kernel_graphs():
+        dense = all_pairs_hop_distances(g).dist
+        everyone = list(range(g.n_vertices))
+        for sources in (everyone, everyone[::-3]):  # several blocks; unsorted
+            assert np.array_equal(load_module._hop_distances(g, sources), dense[sources])
+
+
 def test_geodesic_counts_beyond_exact_float64_raise():
     small = grid_graph(8, 8)
     for endpoints in (False, True):

@@ -16,12 +16,14 @@ from netqsim import (
     brute_force_load,
     characteristic_path_length,
     compute_load,
+    giant_component,
     load_and_cpl,
     measure_load_proxy,
     run,
 )
+from netqsim.load import _hop_distances
 from netqsim.sim import SimState
-from _helpers import reference_load
+from _helpers import UnionFind, reference_load
 
 
 @st.composite
@@ -64,6 +66,28 @@ def test_cpl_from_one_pass_matches_dense_oracle(g):
     assert np.array_equal(load, reference_load(g))
 
 
+@settings(max_examples=200, deadline=None)
+@given(g=small_graphs(), data=st.data())
+def test_hop_distances_match_dense_oracle(g, data):
+    sources = data.draw(st.lists(st.integers(0, g.n_vertices - 1), min_size=1))
+    assert np.array_equal(_hop_distances(g, sources), all_pairs_hop_distances(g).dist[sources])
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=small_graphs())
+def test_giant_component_is_the_first_largest(g):
+    uf = UnionFind(g.n_vertices)
+    for u, v in g.edges():
+        uf.union(u, v)
+    comps: dict[int, list[int]] = {}
+    for v in range(g.n_vertices):
+        comps.setdefault(uf.find(v), []).append(v)
+    best = min(comps.values(), key=lambda c: (-len(c), c[0]))  # ties: smallest vertex
+    gc, remap = giant_component(g)
+    assert list(remap) == best and list(remap.values()) == list(range(len(best)))
+    assert gc.edges() == [(remap[u], remap[v]) for u, v in g.edges() if u in remap]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     g=connected_graphs(),
@@ -74,11 +98,10 @@ def test_cpl_from_one_pass_matches_dense_oracle(g):
 )
 def test_checking_does_not_perturb_the_run(g, data, d, rho, seed):
     traffic = ErramilliParams(2.0, 2.0, d)
-    dmat = all_pairs_hop_distances(g)
     hosts = data.draw(st.lists(st.integers(0, g.n_vertices - 1), min_size=2, unique=True))
     states = []
     for check in (False, True):  # the checked run raises on any breach
-        state = SimState(g, dmat, hosts, traffic=traffic, seed=seed, check_invariants=check)
+        state = SimState(g, hosts, traffic=traffic, seed=seed, check_invariants=check)
         state.run_steps(150)
         state.begin_measurement()
         state.run_steps(250)
@@ -92,7 +115,7 @@ def test_checking_does_not_perturb_the_run(g, data, d, rho, seed):
     if math.floor(rho * g.n_vertices + 0.5) >= 2:  # assign_hosts' count
         metrics = [
             run(SimConfig(graph=g, rho=rho, traffic=traffic, warmup_steps=50,
-                          measure_steps=200, seed=seed, check_invariants=check), dmat=dmat)
+                          measure_steps=200, seed=seed, check_invariants=check))
             for check in (False, True)
         ]
         assert repr(metrics[0]) == repr(metrics[1])

@@ -28,10 +28,6 @@ from netqsim.sim import InvariantViolation, SimState
 from _helpers import complete_graph, cycle_graph, path_graph
 
 
-def make_state(g, hosts, **kwargs):
-    return SimState(g, all_pairs_hop_distances(g), hosts, **kwargs)
-
-
 # -- host assignment ---------------------------------------------------------------
 
 def test_assign_hosts_full_density():
@@ -114,6 +110,9 @@ def test_next_hop_unreachable_destination():
     counts = [[0] * len(nbrs) for nbrs in g.adjacency]
     with pytest.raises(ValueError, match="unreachable"):
         select_next_hop(g, dmat, counts, 0, 2, random.Random(0))
+    other = all_pairs_hop_distances(path_graph(3))  # another graph's matrix
+    with pytest.raises(ValueError, match="does not match"):
+        select_next_hop(g, other, counts, 0, 1, random.Random(0))
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
@@ -123,7 +122,7 @@ def test_route_tables_hold_the_closest_neighbours(alpha):
     )
     dmat = all_pairs_hop_distances(g)
     hosts = assign_hosts(g, 0.3, 4)
-    st = SimState(g, dmat, hosts)
+    st = SimState(g, hosts)
     for dst in hosts:
         for v, nbrs in enumerate(g.adjacency):
             if v == dst:
@@ -138,7 +137,7 @@ def test_route_tables_hold_the_closest_neighbours(alpha):
 # -- stepping -------------------------------------------------------------------------
 
 def test_idle_step_only_advances_clock():
-    st = make_state(path_graph(4), hosts=[0, 3], traffic=None, check_invariants=True)
+    st = SimState(path_graph(4), hosts=[0, 3], traffic=None, check_invariants=True)
     st.run_steps(5)
     assert st.clock == 5
     assert st.generated_total == 0 and st.delivered_total == 0
@@ -147,7 +146,7 @@ def test_idle_step_only_advances_clock():
 
 def test_single_packet_delivered_in_hop_distance_steps():
     g = path_graph(6)
-    st = make_state(g, hosts=[0, 5], traffic=None, check_invariants=True)
+    st = SimState(g, hosts=[0, 5], traffic=None, check_invariants=True)
     pkt = st.inject(0, 5)
     st.run_steps(10)
     assert pkt.delivered_at - pkt.created_at == 5
@@ -155,7 +154,7 @@ def test_single_packet_delivered_in_hop_distance_steps():
 
 def test_one_departure_per_node_per_step():
     g = path_graph(3)
-    st = make_state(g, hosts=[0, 2], traffic=None, check_invariants=True)
+    st = SimState(g, hosts=[0, 2], traffic=None, check_invariants=True)
     a = st.inject(0, 2)
     b = st.inject(0, 2)
     st.step()
@@ -167,7 +166,7 @@ def test_one_departure_per_node_per_step():
 
 def test_fifo_discipline_preserves_order():
     g = path_graph(4)
-    st = make_state(g, hosts=[0, 3], traffic=None, check_invariants=True)
+    st = SimState(g, hosts=[0, 3], traffic=None, check_invariants=True)
     pkts = [st.inject(0, 3) for _ in range(5)]
     st.run_steps(20)
     times = [p.delivered_at for p in pkts]
@@ -179,7 +178,7 @@ def test_arrivals_wait_for_next_step():
     # the packet must not ride more than one hop per step even through
     # nodes whose queues were empty this step
     g = path_graph(5)
-    st = make_state(g, hosts=[0, 4], traffic=None, check_invariants=True)
+    st = SimState(g, hosts=[0, 4], traffic=None, check_invariants=True)
     st.inject(0, 4)
     st.step()
     assert st.queue_length(1) == 1 and st.queue_length(2) == 0
@@ -189,11 +188,10 @@ def test_run_steps_block_equals_single_steps():
     g, _ = giant_component(
         generate_static_model(GenParams.from_avg_degree(80, 3.0, 0.5, 3))
     )
-    dmat = all_pairs_hop_distances(g)
     hosts = assign_hosts(g, 0.3, 3)
     traffic = ErramilliParams(2.0, 2.0, 0.7)
-    block = SimState(g, dmat, hosts, traffic=traffic, seed=8)
-    single = SimState(g, dmat, hosts, traffic=traffic, seed=8)
+    block = SimState(g, hosts, traffic=traffic, seed=8)
+    single = SimState(g, hosts, traffic=traffic, seed=8)
     block.run_steps(50)
     block.begin_measurement()
     block.run_steps(1100)  # crosses a block boundary of the source bits
@@ -214,20 +212,20 @@ def test_run_steps_block_equals_single_steps():
 
 def test_invariant_violation_is_raised():
     assert issubclass(InvariantViolation, AssertionError)
-    st = make_state(path_graph(4), hosts=[0, 3], traffic=None, check_invariants=True)
+    st = SimState(path_graph(4), hosts=[0, 3], traffic=None, check_invariants=True)
     st.inject(0, 3)
     st.step()
     st.in_flight += 1
     with pytest.raises(InvariantViolation, match="census"):
         st.step()
 
-    st = make_state(path_graph(4), hosts=[0, 3], traffic=None, check_invariants=True)
+    st = SimState(path_graph(4), hosts=[0, 3], traffic=None, check_invariants=True)
     pkt = st.inject(0, 3)
     pkt.created_at += 1  # three hops in two steps
     with pytest.raises(InvariantViolation, match="lower bound"):
         st.run_steps(3)
 
-    st = make_state(path_graph(4), hosts=[0, 3], traffic=None, check_invariants=True)
+    st = SimState(path_graph(4), hosts=[0, 3], traffic=None, check_invariants=True)
     st.inject(0, 3)
     st.inject(0, 3)
     q = st._queues[0]
@@ -239,11 +237,10 @@ def test_invariant_violation_is_raised():
 def test_invariant_violation_survives_python_O():
     code = (
         "import sys\n"
-        "from netqsim import Graph, all_pairs_hop_distances\n"
+        "from netqsim import Graph\n"
         "from netqsim.sim import SimState\n"
         "g = Graph(4, [(0, 1), (1, 2), (2, 3)])\n"
-        "st = SimState(g, all_pairs_hop_distances(g), [0, 3], traffic=None,\n"
-        "              check_invariants=True)\n"
+        "st = SimState(g, [0, 3], traffic=None, check_invariants=True)\n"
         "st.inject(0, 3)\n"
         "st.step()\n"
         "st.in_flight += 1\n"
@@ -261,7 +258,7 @@ def test_invariant_violation_survives_python_O():
 
 
 def test_inject_validation():
-    st = make_state(path_graph(4), hosts=[0, 3], traffic=None)
+    st = SimState(path_graph(4), hosts=[0, 3], traffic=None)
     with pytest.raises(ValueError):
         st.inject(0, 1)  # 1 is not a host
     with pytest.raises(ValueError):
@@ -274,8 +271,8 @@ def test_inject_validation():
 
 def test_generated_packets_target_other_hosts():
     g = complete_graph(5)
-    st = make_state(g, hosts=[0, 1, 2], traffic=ErramilliParams(1.5, 1.5, 0.3), seed=6,
-                    check_invariants=True)
+    st = SimState(g, hosts=[0, 1, 2], traffic=ErramilliParams(1.5, 1.5, 0.3), seed=6,
+                  check_invariants=True)
     st.run_steps(200)
     assert st.generated_total > 0
     for pkt in st.packets:
@@ -286,7 +283,7 @@ def test_generated_packets_target_other_hosts():
 # -- full runs ---------------------------------------------------------------------------
 
 def test_packet_log_only_under_checking():
-    st = make_state(path_graph(4), hosts=[0, 3], traffic=ErramilliParams(2.0, 2.0, 0.5))
+    st = SimState(path_graph(4), hosts=[0, 3], traffic=ErramilliParams(2.0, 2.0, 0.5))
     st.run_steps(50)
     assert st.packets is None
     assert st.inject(0, 3).id == st.generated_total - 1 > 0
@@ -304,11 +301,10 @@ def test_run_requires_connected_graph():
 
 def test_hosts_must_be_mutually_reachable():
     g = Graph(4, [(0, 1), (2, 3)])
-    dmat = all_pairs_hop_distances(g)
     with pytest.raises(ValueError, match="different components"):
-        SimState(g, dmat, [0, 2])
+        SimState(g, [0, 2])
     # a component without hosts does not matter
-    st = SimState(g, dmat, [0, 1], traffic=None, check_invariants=True)
+    st = SimState(g, [0, 1], traffic=None, check_invariants=True)
     st.inject(0, 1)
     st.run_steps(2)
     assert st.delivered_total == 1
@@ -318,7 +314,6 @@ def test_conservation_and_delivery_bound_under_load():
     g, _ = giant_component(
         generate_static_model(GenParams.from_avg_degree(100, 3.0, 1.0, 3))
     )
-    dmat = all_pairs_hop_distances(g)
     cfg = SimConfig(
         graph=g,
         rho=0.3,
@@ -328,7 +323,7 @@ def test_conservation_and_delivery_bound_under_load():
         seed=11,
         check_invariants=True,  # asserts conservation and queue census per step
     )
-    metrics = run(cfg, dmat=dmat)
+    metrics = run(cfg)
     assert metrics.generated_total == metrics.delivered_total + metrics.in_flight_at_end
     assert metrics.generated > 0 and metrics.delivered > 0
 
@@ -336,7 +331,7 @@ def test_conservation_and_delivery_bound_under_load():
 def test_delivery_times_at_least_hop_distance():
     g = cycle_graph(9)
     dmat = all_pairs_hop_distances(g)
-    st = SimState(g, dmat, hosts=list(range(9)),
+    st = SimState(g, hosts=list(range(9)),
                   traffic=ErramilliParams(1.5, 1.5, 0.5), seed=4,
                   check_invariants=True)
     st.run_steps(500)
@@ -357,11 +352,10 @@ def test_simmetrics_digest_is_pinned():
             g, _ = giant_component(
                 generate_static_model(GenParams.from_avg_degree(200, 3.0, alpha, seed))
             )
-            dmat = all_pairs_hop_distances(g)
             for d in (0.95, 0.85, 0.7):
                 cfg = SimConfig(graph=g, traffic=ErramilliParams(2.0, 2.0, d),
                                 warmup_steps=300, measure_steps=3000, seed=seed)
-                digest.update(repr(run(cfg, dmat=dmat)).encode())
+                digest.update(repr(run(cfg)).encode())
     assert digest.hexdigest() == (
         "9c27fcf6a8f6743d132a575627eb462af54aea0e984d121eca4be95eb3b4eb79"
     )
@@ -384,9 +378,9 @@ def test_k4_all_hosts_delivers_in_one_hop():
     # diameter 1: every forward goes straight to the destination, so no
     # vertex ever relays transit traffic and delivery takes >= 1 step
     g = complete_graph(4)
-    st = make_state(g, hosts=list(range(4)),
-                    traffic=ErramilliParams(1.5, 1.5, 0.8), seed=3,
-                    check_invariants=True)
+    st = SimState(g, hosts=list(range(4)),
+                  traffic=ErramilliParams(1.5, 1.5, 0.8), seed=3,
+                  check_invariants=True)
     st.begin_measurement()
     st.run_steps(300)
     assert st.delivered_window > 0
@@ -399,7 +393,6 @@ def test_congestion_grows_with_generation_rate():
     g, _ = giant_component(
         generate_static_model(GenParams.from_avg_degree(120, 3.0, 0.5, 2))
     )
-    dmat = all_pairs_hop_distances(g)
     backlog = []
     for d in (0.95, 0.88, 0.8, 0.7, 0.55):
         inf = []
@@ -408,7 +401,7 @@ def test_congestion_grows_with_generation_rate():
                 graph=g, rho=0.25, traffic=ErramilliParams(2.0, 2.0, d),
                 warmup_steps=200, measure_steps=800, seed=seed,
             )
-            inf.append(run(cfg, dmat=dmat).in_flight_at_end)
+            inf.append(run(cfg).in_flight_at_end)
         backlog.append(float(np.mean(inf)))
     assert all(b >= a for a, b in zip(backlog, backlog[1:])), backlog
 
@@ -416,14 +409,14 @@ def test_congestion_grows_with_generation_rate():
 # -- load proxy -----------------------------------------------------------------------------
 
 def test_load_proxy_zero_without_traffic():
-    st = make_state(cycle_graph(6), hosts=[0, 3], traffic=None)
+    st = SimState(cycle_graph(6), hosts=[0, 3], traffic=None)
     st.run_steps(10)
     assert np.all(measure_load_proxy(st) == 0)
 
 
 def test_load_proxy_counts_unique_path_interior():
     g = path_graph(5)
-    st = make_state(g, hosts=[0, 4], traffic=None)
+    st = SimState(g, hosts=[0, 4], traffic=None)
     st.inject(0, 4)
     assert measure_load_proxy(st).tolist() == [0.0] * 5
     st.step()  # the packet has left its origin and is not counted there
@@ -439,7 +432,7 @@ def test_load_proxy_pinned_on_a_saturated_run():
     g, _ = giant_component(
         generate_static_model(GenParams.from_avg_degree(60, 3.0, 1.0, 2))
     )
-    st = SimState(g, all_pairs_hop_distances(g), assign_hosts(g, 0.3, 2),
+    st = SimState(g, assign_hosts(g, 0.3, 2),
                   traffic=ErramilliParams(2.0, 2.0, 0.7), seed=2)
     st.run_steps(1500)
     assert (st.generated_total, st.in_flight) == (5298, 1159)
@@ -454,9 +447,8 @@ def test_load_proxy_rank_correlates_with_static_load():
     g, _ = giant_component(
         generate_static_model(GenParams.from_avg_degree(500, 3.0, 0.5, 4))
     )
-    dmat = all_pairs_hop_distances(g)
     hosts = assign_hosts(g, 0.16, 4)
-    st = SimState(g, dmat, hosts, traffic=ErramilliParams(2.0, 2.0, 0.9), seed=4)
+    st = SimState(g, hosts, traffic=ErramilliParams(2.0, 2.0, 0.9), seed=4)
     st.run_steps(10_000)
     rho_s = spearmanr(measure_load_proxy(st), compute_load(g)).statistic
     assert rho_s > 0.7
@@ -466,7 +458,7 @@ def test_load_proxy_rank_correlates_with_static_load():
 
 def test_node_state_view():
     g = path_graph(3)
-    st = make_state(g, hosts=[0, 2], traffic=None)
+    st = SimState(g, hosts=[0, 2], traffic=None)
     pkt = st.inject(0, 2)
     assert 0 in st.hosts and st.queue_length(0) == 1
     assert st.link_counts[0] == [0]

@@ -220,6 +220,25 @@ def test_bit_trace_round_trip(tmp_path, fmt):
     path = tmp_path / f"trace_{fmt}.txt"
     write_bit_trace(bits, str(path), fmt=fmt)
     assert np.array_equal(read_bit_trace(str(path)), bits)
+    for short in ([], [1], [0, 0, 0], [1, 0]):
+        write_bit_trace(short, str(path), fmt=fmt)
+        back = read_bit_trace(str(path))
+        assert back.dtype == np.uint8 and back.tolist() == short
+
+
+@pytest.mark.parametrize("text, line, token", [
+    ("0\n1\n2\n", 3, "2"),  # raw bits are 0 or 1
+    ("On:1\nMaybe:3\n", 2, "Maybe:3"),
+    ("Off:2 On:-2\n", 1, "On:-2"),
+    ("Off:x\n", 1, "Off:x"),
+])
+def test_read_bit_trace_names_file_line_and_token(tmp_path, text, line, token):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        read_bit_trace(str(path))
+    assert str(err.value).startswith(f"{path}, line {line}: ")
+    assert str(err.value).endswith(repr(token))
 
 
 def test_rle_format_shape(tmp_path):
