@@ -26,8 +26,6 @@ from .graphs import (
 )
 from .load import (
     LoadStats,
-    TooLarge,
-    brute_force_load,
     compute_load,
     load_and_cpl,
     load_stats,

@@ -74,6 +74,8 @@ class ExperimentPlan:
     def validate(self) -> None:
         if self.n_vertices < 2:
             raise ValidationError("n: need at least 2 vertices")
+        if not math.isfinite(self.avg_degree):
+            raise ValidationError(f"avg_degree: {self.avg_degree} is not finite")
         n_edges = int(self.avg_degree * self.n_vertices // 2)
         if n_edges < 1:
             raise ValidationError("avg_degree: resolves to zero edges")

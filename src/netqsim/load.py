@@ -9,29 +9,23 @@ distance, so `load_and_cpl` also returns the characteristic path length from
 that one pass, equal to `characteristic_path_length` of the dense distance
 matrix without building it. The simulator routes by `_hop_distances`, a
 plain BFS from its hosts over the same frontier expansion as Brandes'.
-`brute_force_load` enumerates every shortest path explicitly and exists
-solely to cross-check it.
+The tests cross-check both against independent oracles, among them a
+brute-force enumeration of every shortest path.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import UNREACHABLE, Graph, NoReachablePairs, _csr
 
-_BRUTE_FORCE_CAP = 16
 # Cells (source, vertex) per block of compute_load: small enough that the
 # block's state stays in cache, large enough to amortise the per-level calls.
 _BLOCK_CELLS = 1 << 14
 # float64 counts whole numbers exactly only below this.
 _EXACT_COUNT = 2.0**53
 _NO_POSITION = np.iinfo(np.intp).max
-
-
-class TooLarge(ValueError):
-    """Graph exceeds the brute-force enumeration cap."""
 
 
 @dataclass(frozen=True)
@@ -198,50 +192,6 @@ def _dependencies(csr, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray, int
     delta[row_base + sources] = 0.0
     reached = (dist.reshape(b, n) >= 0).sum(axis=1) - 1
     return delta.reshape(b, n), reached, hops
-
-
-def brute_force_load(g: Graph, include_endpoints: bool = False) -> np.ndarray:
-    """Reference load via explicit enumeration of every shortest path.
-
-    Independent of compute_load on purpose: plain BFS distances, then a DFS
-    that walks all distance-increasing paths from s and keeps those ending
-    at t. Exponential in the worst case, hence the vertex cap.
-    """
-    n = g.n_vertices
-    if n > _BRUTE_FORCE_CAP:
-        raise TooLarge(f"brute force capped at {_BRUTE_FORCE_CAP} vertices, got {n}")
-    adj = g.adjacency
-    load = np.zeros(n)
-    for s in range(n):
-        dist = {s: 0}
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    q.append(w)
-        for t in range(n):
-            if t == s or t not in dist:
-                continue
-            paths: list[list[int]] = []
-            stack = [(s, [s])]
-            while stack:
-                v, path = stack.pop()
-                if v == t:
-                    paths.append(path)
-                    continue
-                if dist[v] >= dist[t]:
-                    continue
-                for w in adj[v]:
-                    if dist.get(w) == dist[v] + 1:
-                        stack.append((w, path + [w]))
-            share = 1.0 / len(paths)
-            for path in paths:
-                members = path if include_endpoints else path[1:-1]
-                for v in members:
-                    load[v] += share
-    return load
 
 
 def load_stats(values) -> LoadStats:

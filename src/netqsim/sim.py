@@ -60,7 +60,6 @@ class SimConfig:
     warmup_steps: int = 1000
     measure_steps: int = 10_000
     seed: int = 0
-    source_burn_in: int = 1000
     check_invariants: bool = False
 
     def __post_init__(self) -> None:
@@ -162,6 +161,9 @@ class SimState:
     host `dst`; hosts must reach each other. A queued packet is a tuple (id,
     src, dst, created_at). Under `check_invariants` only, `packets` logs a
     `Packet` per id and each queue's pops are checked against its arrival order.
+
+    Counters are totals since clock 0, `delay_total` the delivery steps summed
+    over delivered packets; `run` takes its window as a difference of totals.
     """
 
     def __init__(
@@ -170,7 +172,6 @@ class SimState:
         hosts: list[int],
         traffic: ErramilliParams | None = None,
         seed: int = 0,
-        source_burn_in: int = 1000,
         check_invariants: bool = False,
     ):
         n = graph.n_vertices
@@ -202,7 +203,7 @@ class SimState:
         self._dest_rng = random.Random(int(dest_ss.generate_state(1)[0]))
         self._tie_rng = random.Random(int(tie_ss.generate_state(1)[0]))
         self.sources: dict[int, ErramilliSource] = {  # no orbit seeds without traffic
-            h: ErramilliSource(traffic, seed=child, burn_in=source_burn_in)
+            h: ErramilliSource(traffic, seed=child)
             for h, child in zip(self.hosts, orbit_ss)
         }
 
@@ -218,14 +219,10 @@ class SimState:
         self.clock = 0
         self.generated_total = 0
         self.delivered_total = 0
+        self.delay_total = 0
         self.in_flight = 0
         self.max_queue = 0
         self.queue_series: list[int] = []
-
-        self._measuring = False
-        self.generated_window = 0
-        self.delivered_window = 0
-        self._delay_sum = 0
 
     def queue_length(self, v: int) -> int:
         return len(self._queues[v])
@@ -250,17 +247,9 @@ class SimState:
         self._generated_at[src] += 1
         self.generated_total += 1
         self.in_flight += 1
-        if self._measuring:
-            self.generated_window += 1
         return pkt
 
     # -- dynamics ----------------------------------------------------------
-
-    def begin_measurement(self) -> None:
-        self._measuring = True
-        self.generated_window = 0
-        self.delivered_window = 0
-        self._delay_sum = 0
 
     def step(self) -> None:
         """Advance one time step (generation phase, then forwarding phase)."""
@@ -299,7 +288,6 @@ class SimState:
         others = len(hosts) - 1
         width = others.bit_length()
         series = self.queue_series
-        measuring = self._measuring
         check = self._check
         log = self.packets
         arrivals = self._arrivals
@@ -308,11 +296,9 @@ class SimState:
         t = self.clock
         pid = self.generated_total
         delivered = self.delivered_total
+        delay = self.delay_total
         in_flight = self.in_flight
         max_queue = self.max_queue
-        generated_window = self.generated_window
-        delivered_window = self.delivered_window
-        delay_sum = self._delay_sum
         try:
             for on_hosts in spawners:
                 for i in on_hosts:
@@ -335,8 +321,6 @@ class SimState:
                         arrivals[h].append(pid)
                     pid += 1
                 in_flight += len(on_hosts)
-                if measuring:
-                    generated_window += len(on_hosts)
 
                 for node in sorted(active):
                     q = queues[node]
@@ -353,10 +337,8 @@ class SimState:
                     nxt = adj[node][k]
                     if nxt == dst:
                         delivered += 1
+                        delay += t + 1 - pkt[3]
                         in_flight -= 1
-                        if measuring:
-                            delivered_window += 1
-                            delay_sum += t + 1 - pkt[3]
                         if check:
                             rec = log[pkt[0]]
                             rec.delivered_at = t + 1
@@ -381,11 +363,9 @@ class SimState:
             self.clock = t
             self.generated_total = pid
             self.delivered_total = delivered
+            self.delay_total = delay
             self.in_flight = in_flight
             self.max_queue = max_queue
-            self.generated_window = generated_window
-            self.delivered_window = delivered_window
-            self._delay_sum = delay_sum
 
     def _assert_invariants(self, generated: int, delivered: int, in_flight: int) -> None:
         queued = sum(len(q) for q in self._queues)
@@ -394,20 +374,13 @@ class SimState:
         if generated != delivered + in_flight:
             raise InvariantViolation("packet conservation violated")
 
-    # -- inspection ----------------------------------------------------------
-
-    def mean_delivery_time(self) -> float:
-        if self.delivered_window == 0:
-            return float("nan")
-        return self._delay_sum / self.delivered_window
-
 
 def run(config: SimConfig) -> SimMetrics:
     """Execute warmup then measurement; every host must reach every other.
 
-    Warmup steps feed the queues but are excluded from the window counters;
-    the reported throughput is the number of packets delivered inside the
-    measurement window. Fully deterministic for a given (config, seed).
+    Warmup steps feed the queues; the window counts are the run totals after
+    the measurement steps minus those after the warmup, so the throughput is
+    the packets delivered inside the window. Deterministic per (config, seed).
     """
     g = config.graph
     state = SimState(
@@ -415,16 +388,17 @@ def run(config: SimConfig) -> SimMetrics:
         assign_hosts(g, config.rho, config.seed),
         traffic=config.traffic,
         seed=config.seed,
-        source_burn_in=config.source_burn_in,
         check_invariants=config.check_invariants,
     )
     state.run_steps(config.warmup_steps)
-    state.begin_measurement()
+    warm = (state.generated_total, state.delivered_total, state.delay_total)
     state.run_steps(config.measure_steps)
+    delivered = state.delivered_total - warm[1]
+    delay = state.delay_total - warm[2]
     return SimMetrics(
-        generated=state.generated_window,
-        delivered=state.delivered_window,
-        mean_delivery_time=state.mean_delivery_time(),
+        generated=state.generated_total - warm[0],
+        delivered=delivered,
+        mean_delivery_time=delay / delivered if delivered else float("nan"),
         in_flight_at_end=state.in_flight,
         max_queue=state.max_queue,
         generated_total=state.generated_total,

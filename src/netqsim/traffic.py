@@ -151,6 +151,8 @@ def estimate_rate(
 
     Deterministic for a given seed: orbit seeds are spawned from it.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples!r}")
     if n_orbits < 1:
         raise ValueError("n_orbits must be >= 1")
     children = np.random.SeedSequence(seed).spawn(n_orbits)
@@ -179,6 +181,8 @@ def calibrate_d(
     """
     if not 0.0 < target_lambda < 1.0:
         raise ValueError("target_lambda must lie in (0, 1)")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
     lo, hi = 1e-9, 1.0 - 1e-9
     for _ in range(max_steps):
         mid = 0.5 * (lo + hi)
@@ -250,8 +254,13 @@ def hurst_aggregated_variance(bits, block_sizes) -> float:
 
 def write_bit_trace(bits, path: str, fmt: str = "raw") -> None:
     """Export a bit sequence: `raw` is one 0/1 per line, `rle` is a single
-    line of `On:len Off:len ...` run tokens."""
-    arr = np.asarray(bits, dtype=np.uint8)
+    line of `On:len Off:len ...` run tokens. A value other than 0/1 raises
+    ValueError naming the first one."""
+    arr = np.asarray(bits)
+    bad = arr[(arr != 0) & (arr != 1)]
+    if bad.size:
+        raise ValueError(f"bit trace values must be 0 or 1, got {bad[0].item()!r}")
+    arr = arr.astype(np.uint8)
     if fmt == "raw":
         body = "\n".join(str(int(b)) for b in arr)
     elif fmt == "rle":

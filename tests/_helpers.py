@@ -7,7 +7,6 @@ import numpy as np
 
 from netqsim import Graph
 
-
 def path_graph(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
@@ -138,3 +137,54 @@ def reference_load(g: Graph, include_endpoints: bool = False) -> np.ndarray:
         for v in range(n):
             load[v] += 2.0 * reach[v]
     return np.asarray(load)
+
+
+_BRUTE_FORCE_CAP = 16
+
+
+class TooLarge(ValueError):
+    """Graph exceeds the brute-force enumeration cap."""
+
+
+def brute_force_load(g: Graph, include_endpoints: bool = False) -> np.ndarray:
+    """Reference load via explicit enumeration of every shortest path.
+
+    Independent of compute_load on purpose: plain BFS distances, then a DFS
+    that walks all distance-increasing paths from s and keeps those ending
+    at t. Exponential in the worst case, hence the vertex cap.
+    """
+    n = g.n_vertices
+    if n > _BRUTE_FORCE_CAP:
+        raise TooLarge(f"brute force capped at {_BRUTE_FORCE_CAP} vertices, got {n}")
+    adj = g.adjacency
+    load = np.zeros(n)
+    for s in range(n):
+        dist = {s: 0}
+        q = deque([s])
+        while q:
+            v = q.popleft()
+            for w in adj[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    q.append(w)
+        for t in range(n):
+            if t == s or t not in dist:
+                continue
+            paths: list[list[int]] = []
+            stack = [(s, [s])]
+            while stack:
+                v, path = stack.pop()
+                if v == t:
+                    paths.append(path)
+                    continue
+                if dist[v] >= dist[t]:
+                    continue
+                for w in adj[v]:
+                    if dist.get(w) == dist[v] + 1:
+                        stack.append((w, path + [w]))
+            share = 1.0 / len(paths)
+            for path in paths:
+                members = path if include_endpoints else path[1:-1]
+                for v in members:
+                    load[v] += share
+    return load

@@ -17,7 +17,6 @@ from netqsim import (
     Graph,
     SimConfig,
     all_pairs_hop_distances,
-    brute_force_load,
     compute_load,
     default_block_sizes,
     degree_histogram,
@@ -30,7 +29,14 @@ from netqsim import (
 )
 from netqsim.cli import FIG34_COLUMNS, ExperimentPlan, emit_csv, run_fig34_sweep
 from netqsim.sim import InvariantViolation, SimState
-from _helpers import cycle_graph, path_graph, petersen_graph, random_graph, star_graph
+from _helpers import (
+    brute_force_load,
+    cycle_graph,
+    path_graph,
+    petersen_graph,
+    random_graph,
+    star_graph,
+)
 
 N_SEEDS = 10
 FIG_N, FIG_DEG, FIG_RHO = 500, 3.0, 0.16

@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import math
 from pathlib import Path
 
@@ -80,6 +81,9 @@ def test_validation_errors_name_the_field():
         parse_plan("seeds =\n")
     with pytest.raises(ValidationError, match="m1"):
         parse_plan("m1 = 1.0\n")
+    for value in ("inf", "nan"):
+        with pytest.raises(ValidationError, match="^avg_degree: "):
+            parse_plan(f"avg_degree = {value}\n")
 
 
 @pytest.mark.parametrize("field, values, repeated", [
@@ -343,3 +347,11 @@ def test_benchmark_tracer_targets_resolve():
         for attr in qualname.split("."):
             owner = getattr(owner, attr)
         assert callable(owner), f"{module}.{qualname}"
+    # its probes also bind these parameters by name
+    from netqsim.sim import SimState, run
+    from netqsim.traffic import estimate_rate
+
+    for func, names in ((estimate_rate, {"burn_in", "samples", "n_orbits"}),
+                        (SimState.run_steps, {"count"}), (run, {"config"})):
+        missing = names - set(inspect.signature(func).parameters)
+        assert not missing, f"{func.__qualname__} lacks {sorted(missing)}"

@@ -7,9 +7,7 @@ from netqsim import (
     GenParams,
     Graph,
     NoReachablePairs,
-    TooLarge,
     all_pairs_hop_distances,
-    brute_force_load,
     characteristic_path_length,
     compute_load,
     generate_static_model,
@@ -20,6 +18,8 @@ from netqsim import (
 )
 from netqsim import load as load_module
 from _helpers import (
+    TooLarge,
+    brute_force_load,
     complete_graph,
     cycle_graph,
     grid_graph,

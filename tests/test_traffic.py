@@ -171,6 +171,20 @@ def test_calibration_rejects_bad_target():
         calibrate_d(1.7, 1.7, 1.0)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, 5.0, float("nan")])
+def test_calibration_rejects_bad_tol(tol):
+    # rejected before the first bisection step: tol 0 would spend the whole
+    # step budget, and tol >= 1 would accept the first midpoint for any target
+    with pytest.raises(ValueError, match="tol must lie in"):
+        calibrate_d(2.0, 2.0, 0.05, tol=tol)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_estimate_rate_rejects_bad_samples(samples):
+    with pytest.raises(ValueError, match="samples"):
+        estimate_rate(ErramilliParams(), samples=samples)
+
+
 def test_calibration_no_convergence():
     with pytest.raises(NoConvergence):
         calibrate_d(1.7, 1.7, 0.3, tol=1e-15, seed=1, samples=2000, max_steps=8)
@@ -247,3 +261,7 @@ def test_rle_format_shape(tmp_path):
     assert path.read_text() == "Off:2 On:3 Off:1\n"
     with pytest.raises(ValueError):
         write_bit_trace([0, 1], str(path), fmt="nope")
+    for fmt in ("raw", "rle"):  # a value other than 0/1 is named, not written
+        with pytest.raises(ValueError, match="got 2$"):
+            write_bit_trace([0, 2, 1], str(path), fmt=fmt)
+    assert path.read_text() == "Off:2 On:3 Off:1\n"
