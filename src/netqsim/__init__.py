@@ -10,7 +10,6 @@ CSV datasets.
 from .graphs import (
     UNREACHABLE,
     AttemptBudgetExceeded,
-    DistanceMatrix,
     GenParams,
     Graph,
     InsufficientTail,
@@ -40,7 +39,6 @@ from .sim import (
     assign_hosts,
     measure_load_proxy,
     run,
-    select_next_hop,
 )
 from .traffic import (
     ErramilliParams,
@@ -51,7 +49,6 @@ from .traffic import (
     default_block_sizes,
     estimate_rate,
     hurst_aggregated_variance,
-    map_step,
     read_bit_trace,
     write_bit_trace,
 )

@@ -88,6 +88,9 @@ class ExperimentPlan:
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise ValidationError(f"{name}: {repeated[0]} repeated")
+        for seed in self.seeds:
+            if seed < 0:
+                raise ValidationError(f"seeds: {seed} is negative")
         for a in self.alphas:
             if not 0.0 <= a <= 1.0:
                 raise ValidationError(f"alphas: {a} outside [0, 1]")
@@ -413,12 +416,10 @@ def _cmd_traffic(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.edges:
+    if args.edges is not None:  # argparse makes it exclusive of --alpha
         g, meta = read_edge_list(args.edges)
         alpha = meta.get("alpha", float("nan"))
     else:
-        if args.alpha is None:
-            raise ValidationError("need --alpha when generating (or pass --edges)")
         alpha = args.alpha
         params = GenParams.from_avg_degree(args.n, args.avg_degree, alpha, args.seed)
         g = generate_static_model(params)
@@ -530,8 +531,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("run", help="single simulation, metrics row to stdout or file")
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--avg-degree", type=float, default=3.0)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--edges", help="edge-list path (instead of generating)")
+    graph = p.add_mutually_exclusive_group(required=True)
+    graph.add_argument("--alpha", type=float)
+    graph.add_argument("--edges", help="edge-list path (instead of generating)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rho", type=float, default=0.16)
     _add_source_args(p)

@@ -73,6 +73,8 @@ class GenParams:
         cls, n_vertices: int, avg_degree: float, alpha: float, seed: int
     ) -> "GenParams":
         """Build params with n_edges = floor(avg_degree * n / 2)."""
+        if not math.isfinite(avg_degree):
+            raise ValueError(f"avg_degree: {avg_degree} is not finite")
         return cls(n_vertices, int(avg_degree * n_vertices // 2), alpha, seed)
 
 
@@ -225,26 +227,19 @@ def fit_powerlaw_exponent(hist: dict[int, int], k_min: int) -> float:
     return 1.0 + n / log_sum
 
 
-@dataclass
-class DistanceMatrix:
-    """All-pairs hop counts; UNREACHABLE (-1) marks cross-component entries."""
-
-    n: int
-    dist: np.ndarray
-
-
-def all_pairs_hop_distances(g: Graph) -> DistanceMatrix:
-    """BFS hop counts between every vertex pair (scipy csgraph backend)."""
+def all_pairs_hop_distances(g: Graph) -> np.ndarray:
+    """BFS hop counts between every vertex pair (scipy csgraph backend), an
+    int32 N x N array; UNREACHABLE (-1) marks cross-component entries."""
     d = shortest_path(_adjacency_matrix(g), method="D", directed=False, unweighted=True)
     d[np.isinf(d)] = UNREACHABLE  # in place: no second N x N float64 array
-    return DistanceMatrix(g.n_vertices, d.astype(np.int32))
+    return d.astype(np.int32)
 
 
-def characteristic_path_length(dmat: DistanceMatrix) -> float:
-    """Mean hop count over all ordered reachable pairs s != t."""
-    d = dmat.dist
+def characteristic_path_length(d: np.ndarray) -> float:
+    """Mean hop count over all ordered reachable pairs s != t of the
+    all_pairs_hop_distances array `d`."""
     reachable = d != UNREACHABLE
-    n_pairs = int(reachable.sum()) - dmat.n  # drop the always-reachable diagonal
+    n_pairs = int(reachable.sum()) - d.shape[0]  # drop the always-reachable diagonal
     if n_pairs <= 0:
         raise NoReachablePairs("no reachable ordered pair s != t")
     total = int(d[reachable].sum())  # diagonal contributes zero

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import UNREACHABLE, DistanceMatrix, Graph
+from .graphs import UNREACHABLE, Graph
 from .load import _hop_distances
 from .traffic import ErramilliParams, ErramilliSource
 
@@ -99,14 +99,6 @@ def assign_hosts(g: Graph, rho: float, seed: int) -> list[int]:
     return sorted(int(v) for v in rng.choice(n, size=count, replace=False))
 
 
-def _closer_positions(neighbors: list[int], dist: list[int], v: int) -> tuple[int, ...]:
-    """Positions in `neighbors` (the adjacency of v) of the neighbours one
-    hop closer to the destination, given each vertex's distance `dist` to
-    it; empty when v is the destination or cannot reach it."""
-    target = dist[v] - 1
-    return tuple([k for k, u in enumerate(neighbors) if dist[u] == target])
-
-
 def _route(cand: tuple[int, ...], counts_row: list[int], tie_rng: random.Random) -> int:
     """Pick among the closer positions `cand`: least used link, then at random."""
     if len(cand) > 1:
@@ -115,29 +107,6 @@ def _route(cand: tuple[int, ...], counts_row: list[int], tie_rng: random.Random)
         if len(cand) > 1:
             return cand[tie_rng.randrange(len(cand))]
     return cand[0]
-
-
-def select_next_hop(
-    g: Graph,
-    dmat: DistanceMatrix,
-    link_counts: list[list[int]],
-    node: int,
-    dst: int,
-    rng: random.Random,
-) -> int:
-    """Routing decision for one packet sitting at `node` bound for `dst`.
-
-    `link_counts[v][k]` counts packets forwarded from v over its k-th
-    adjacency entry. Does not mutate any state.
-    """
-    if dmat.n != g.n_vertices:
-        raise ValueError("distance matrix size does not match graph")
-    if node == dst:
-        raise ValueError("packet is already at its destination")
-    cand = _closer_positions(g.adjacency[node], dmat.dist[dst].tolist(), node)
-    if not cand:
-        raise ValueError(f"vertex {dst} is unreachable from vertex {node}")
-    return g.adjacency[node][_route(cand, link_counts[node], rng)]
 
 
 class SimState:
@@ -195,8 +164,14 @@ class SimState:
         self._routes: list[list[tuple[int, ...]] | None] = [None] * n
         for dst, row in zip(hosts, dist):
             row = row.tolist()
-            cands = (_closer_positions(nbrs, row, v) for v, nbrs in enumerate(self._adj))
-            self._routes[dst] = [shared.setdefault(c, c) for c in cands]
+            table = []
+            for v, nbrs in enumerate(self._adj):
+                # positions of the neighbours one hop closer to dst; empty
+                # at dst itself and where dst is out of reach
+                target = row[v] - 1
+                closer = tuple([k for k, u in enumerate(nbrs) if row[u] == target])
+                table.append(shared.setdefault(closer, closer))
+            self._routes[dst] = table
 
         ss = np.random.SeedSequence(seed)
         dest_ss, tie_ss, *orbit_ss = ss.spawn(2 + (len(self.hosts) if traffic else 0))

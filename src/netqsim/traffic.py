@@ -44,21 +44,6 @@ class ErramilliParams:
             raise ValueError("d must lie in (0, 1)")
 
 
-def map_step(p: ErramilliParams, x: float) -> float:
-    """One application of the map; the first branch covers [0, d].
-
-    Clamped into [0, 1] to absorb floating-point overshoot at the branch
-    ends (mathematically the image already lies in [0, 1]).
-    """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x={x} outside [0, 1]")
-    if x <= p.d:
-        y = x + (1.0 - p.d) * (x / p.d) ** p.m1
-    else:
-        y = x - p.d * ((1.0 - x) / (1.0 - p.d)) ** p.m2
-    return min(max(y, 0.0), 1.0)
-
-
 class ErramilliSource:
     """A single traffic source: owns its orbit point and its PRNG.
 
@@ -68,46 +53,31 @@ class ErramilliSource:
     any bit is consumed.
     """
 
-    def __init__(
-        self,
-        params: ErramilliParams,
-        seed=None,
-        x0: float | None = None,
-        burn_in: int = 1000,
-    ):
+    def __init__(self, params: ErramilliParams, seed=None, burn_in: int = 1000):
         self.params = params
         self.rng = np.random.default_rng(seed)
-        if x0 is None:
-            x0 = self.rng.random()
-            while not 0.0 < x0 < 1.0:
-                x0 = self.rng.random()
-        elif not 0.0 < x0 < 1.0:
-            raise ValueError("x0 must lie in (0, 1)")
-        self.x = float(x0)
-        self._orbit(burn_in)
-
-    def advance(self) -> float:
-        """Apply the map once, reinjecting away from the endpoint traps."""
-        x = map_step(self.params, self.x)
-        if x >= 1.0 - _ENDPOINT_EPS:
-            x = self.params.d + (1.0 - self.params.d) * self.rng.random()
-        elif x <= _ENDPOINT_EPS:
-            x = self.params.d * self.rng.random()
+        x = self.rng.random()
+        while not 0.0 < x < 1.0:  # random() may return exactly 0
+            x = self.rng.random()
         self.x = x
-        return x
+        self._orbit(burn_in)
 
     def next_bit(self) -> int:
         """Advance once; 1 (On, a packet is generated) iff the orbit lands above d."""
-        return 1 if self.advance() > self.params.d else 0
+        return self._orbit(1)[0]
 
     def _orbit(self, count: int) -> bytearray:
         """Advance `count` times; byte i is the bit of the i-th new orbit point.
 
-        The one fast form of the map: advance() inlined, with the same
-        branches and RNG draws, so the bits equal repeated next_bit() calls.
-        Scalar `**` keeps it so; numpy's vectorised power differs in the
-        last bits, and the chaotic orbit amplifies that.
+        The one form of the map: the first branch covers [0, d], and a point
+        that lands within _ENDPOINT_EPS of 0 or 1 (floating-point overshoot
+        past them included) is redrawn uniformly on its own side of d.
+        Scalar `**` keeps the orbit equal to the scalar reference in the
+        tests; numpy's vectorised power differs in the last bits, and the
+        chaotic orbit amplifies that.
         """
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count!r}")
         p = self.params
         d, m1, m2 = p.d, p.m1, p.m2
         omd = 1.0 - d
@@ -169,9 +139,7 @@ def calibrate_d(
     target_lambda: float,
     tol: float = 0.01,
     seed=0,
-    burn_in: int = 1000,
     samples: int = 100_000,
-    n_orbits: int = 8,
     max_steps: int = 60,
 ) -> float:
     """Bisect the threshold d until the measured On rate matches the target.
@@ -186,13 +154,7 @@ def calibrate_d(
     lo, hi = 1e-9, 1.0 - 1e-9
     for _ in range(max_steps):
         mid = 0.5 * (lo + hi)
-        rate = estimate_rate(
-            ErramilliParams(m1, m2, mid),
-            burn_in=burn_in,
-            samples=samples,
-            seed=seed,
-            n_orbits=n_orbits,
-        )
+        rate = estimate_rate(ErramilliParams(m1, m2, mid), samples=samples, seed=seed)
         if abs(rate - target_lambda) <= tol:
             return mid
         if rate > target_lambda:

@@ -5,7 +5,8 @@ from collections import deque
 
 import numpy as np
 
-from netqsim import Graph
+from netqsim import ErramilliParams, ErramilliSource, Graph
+from netqsim.traffic import _ENDPOINT_EPS
 
 def path_graph(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
@@ -188,3 +189,32 @@ def brute_force_load(g: Graph, include_endpoints: bool = False) -> np.ndarray:
                 for v in members:
                     load[v] += share
     return load
+
+
+def map_step(p: ErramilliParams, x: float) -> float:
+    """One application of the intermittency map; the first branch covers [0, d].
+
+    Clamped into [0, 1] to absorb floating-point overshoot at the branch
+    ends (mathematically the image already lies in [0, 1]).
+    """
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"x={x} outside [0, 1]")
+    if x <= p.d:
+        y = x + (1.0 - p.d) * (x / p.d) ** p.m1
+    else:
+        y = x - p.d * ((1.0 - x) / (1.0 - p.d)) ** p.m2
+    return min(max(y, 0.0), 1.0)
+
+
+def advance(src: ErramilliSource) -> float:
+    """Scalar reference of one step of `src`'s orbit, the oracle that
+    `ErramilliSource.bits` must match bit for bit: map_step, then an
+    endpoint trap is left by a redraw on its own side of d."""
+    p = src.params
+    x = map_step(p, src.x)
+    if x >= 1.0 - _ENDPOINT_EPS:
+        x = p.d + (1.0 - p.d) * src.rng.random()
+    elif x <= _ENDPOINT_EPS:
+        x = p.d * src.rng.random()
+    src.x = x
+    return x

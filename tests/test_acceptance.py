@@ -154,7 +154,7 @@ def test_criterion_03_load_oracle_equivalence():
 
 def test_criterion_04_load_conservation():
     def gap(g: Graph) -> float:
-        d = all_pairs_hop_distances(g).dist
+        d = all_pairs_hop_distances(g)
         reach = d >= 0
         target = float(d[reach].sum() - (int(reach.sum()) - g.n_vertices))
         return abs(float(compute_load(g).sum()) - target)
@@ -242,7 +242,7 @@ def test_criterion_09_simulation_invariants():
     # delivery-time lower bound; determinism is a bit-exact re-run comparison
     params = GenParams.from_avg_degree(150, 3.0, 0.5, 7)
     gc, _ = giant_component(generate_static_model(params))
-    dmat = all_pairs_hop_distances(gc)  # oracle of the delivery bound
+    dist = all_pairs_hop_distances(gc)  # oracle of the delivery bound
     hosts = sorted(range(0, gc.n_vertices, 3))
     state = SimState(
         gc, hosts, traffic=ErramilliParams(2.0, 2.0, 0.75),
@@ -250,7 +250,7 @@ def test_criterion_09_simulation_invariants():
     )
     state.run_steps(600)  # raises on any per-step invariant violation
     bound_ok = all(
-        p.delivered_at - p.created_at >= int(dmat.dist[p.src, p.dst])
+        p.delivered_at - p.created_at >= int(dist[p.src, p.dst])
         for p in state.packets
         if p.delivered_at is not None
     )

@@ -79,6 +79,8 @@ def test_validation_errors_name_the_field():
         parse_plan("lambdas = 0\n")
     with pytest.raises(ValidationError, match="seeds"):
         parse_plan("seeds =\n")
+    with pytest.raises(ValidationError, match="^seeds: -1 is negative$"):
+        parse_plan("seeds = -1,2\n")
     with pytest.raises(ValidationError, match="m1"):
         parse_plan("m1 = 1.0\n")
     for value in ("inf", "nan"):
@@ -228,6 +230,21 @@ def test_traffic_flag_conflicts(capsys):
     run_flags = ["run", "--n", "30", "--avg-degree", "2", "--alpha", "0", "--steps", "10"]
     assert main(run_flags + ["--d", "0.5", "--target-lambda", "0.2"]) == 1
     assert main(run_flags) == 1
+    # the graph comes from exactly one of --edges / --alpha
+    assert main(["run", "--edges", "g.txt", "--alpha", "0.9", "--d", "0.9"]) == 1
+    assert main(["run", "--d", "0.9"]) == 1
+    assert capsys.readouterr().err.count("--edges") == 2
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("command", [
+    ["gen", "--out", "g.txt"], ["run", "--d", "0.5", "--steps", "10"],
+])
+def test_avg_degree_not_finite_names_the_field(command, value, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(command + ["--n", "50", "--avg-degree", value, "--alpha", "0.5"]) == 1
+    assert capsys.readouterr().err == f"error: avg_degree: {value} is not finite\n"
+    assert not (tmp_path / "g.txt").exists()
 
 
 def test_sweep_fig12_deterministic_output(tmp_path):
@@ -330,6 +347,27 @@ def test_exit_code_validation_error(capsys):
 def test_exit_code_runtime_error(tmp_path, capsys):
     missing = tmp_path / "missing.txt"
     assert main(["run", "--edges", str(missing), "--d", "0.8", "--steps", "10"]) == 2
+
+
+# -- package surface ---------------------------------------------------------------------
+
+def test_public_names_are_pinned():
+    # adding or dropping a name of the package's surface is a deliberate act
+    names = sorted(
+        name for name, value in vars(netqsim).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    )
+    assert names == [
+        "AttemptBudgetExceeded", "ErramilliParams", "ErramilliSource", "GenParams", "Graph",
+        "InsufficientData", "InsufficientTail", "LoadStats", "NoConvergence",
+        "NoReachablePairs", "Packet", "SimConfig", "SimMetrics", "SimState", "TooFewHosts",
+        "UNREACHABLE", "all_pairs_hop_distances", "assign_hosts", "calibrate_d",
+        "characteristic_path_length", "compute_load", "default_block_sizes",
+        "degree_histogram", "estimate_rate", "fit_powerlaw_exponent",
+        "generate_static_model", "giant_component", "hurst_aggregated_variance",
+        "load_and_cpl", "load_stats", "measure_load_proxy", "read_bit_trace",
+        "read_edge_list", "run", "write_bit_trace", "write_edge_list", "write_load_csv",
+    ]
 
 
 # -- benchmark tracer --------------------------------------------------------------------

@@ -200,13 +200,13 @@ def test_powerlaw_fit_insufficient_tail():
 
 def test_hop_distances_path():
     d = all_pairs_hop_distances(path_graph(3))
-    assert d.dist[0, 2] == 2 and d.dist[0, 1] == 1 and d.dist[0, 0] == 0
+    assert d[0, 2] == 2 and d[0, 1] == 1 and d[0, 0] == 0
 
 
 def test_hop_distances_disjoint_edges_unreachable():
     d = all_pairs_hop_distances(Graph(4, [(0, 1), (2, 3)]))
-    assert d.dist[0, 2] == UNREACHABLE and d.dist[1, 3] == UNREACHABLE
-    assert d.dist[0, 1] == 1 and d.dist[2, 3] == 1
+    assert d[0, 2] == UNREACHABLE and d[1, 3] == UNREACHABLE
+    assert d[0, 1] == 1 and d[2, 3] == 1
 
 
 def test_hop_distances_match_floyd_warshall_oracle():
@@ -217,12 +217,12 @@ def test_hop_distances_match_floyd_warshall_oracle():
         m = int(rng.integers(n - 2, max_m + 1))
         g = random_graph(n, m, rng)
         d = all_pairs_hop_distances(g)
-        assert np.array_equal(d.dist, floyd_warshall(g))
+        assert np.array_equal(d, floyd_warshall(g))
 
 
 def test_distance_matrix_properties():
     g = generate_static_model(GenParams(60, 90, 0.5, seed=4))
-    d = all_pairs_hop_distances(g).dist
+    d = all_pairs_hop_distances(g)
     assert np.array_equal(d, d.T)
     assert np.all(np.diag(d) == 0)
     # triangle inequality over reachable triples, via one intermediate sweep

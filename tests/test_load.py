@@ -33,7 +33,7 @@ from _helpers import (
 
 def conservation_target(g: Graph) -> float:
     """Sum over ordered reachable pairs of (dist - 1), from the distance matrix."""
-    d = all_pairs_hop_distances(g).dist
+    d = all_pairs_hop_distances(g)
     reach = d >= 0
     n_pairs = int(reach.sum()) - g.n_vertices
     return float(d[reach].sum() - n_pairs)
@@ -133,7 +133,7 @@ def test_cpl_from_one_pass_equals_dense_oracle():
 
 def test_hop_distances_equal_dense_rows():
     for g in kernel_graphs():
-        dense = all_pairs_hop_distances(g).dist
+        dense = all_pairs_hop_distances(g)
         everyone = list(range(g.n_vertices))
         for sources in (everyone, everyone[::-3]):  # several blocks; unsorted
             assert np.array_equal(load_module._hop_distances(g, sources), dense[sources])

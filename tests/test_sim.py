@@ -1,7 +1,6 @@
 import hashlib
 import math
 import os
-import random
 import subprocess
 import sys
 
@@ -23,7 +22,6 @@ from netqsim import (
     giant_component,
     measure_load_proxy,
     run,
-    select_next_hop,
 )
 from netqsim.sim import InvariantViolation, SimState
 from _helpers import complete_graph, cycle_graph, path_graph
@@ -58,62 +56,33 @@ def test_assign_hosts_errors():
 
 # -- next-hop selection -------------------------------------------------------------
 
-def test_next_hop_unique_closest():
-    g = path_graph(3)
-    dmat = all_pairs_hop_distances(g)
-    counts = [[0] * len(nbrs) for nbrs in g.adjacency]
-    assert select_next_hop(g, dmat, counts, 0, 2, random.Random(0)) == 1
-
-
 def test_next_hop_counter_tie_break():
     # 4-cycle 0-1-2-3: from 0 toward 2 both neighbors are equidistant;
     # the less-used link must win
-    g = cycle_graph(4)
-    dmat = all_pairs_hop_distances(g)
-    counts = [[0] * len(nbrs) for nbrs in g.adjacency]
-    counts[0][g.adjacency[0].index(1)] = 5
-    counts[0][g.adjacency[0].index(3)] = 2
-    assert select_next_hop(g, dmat, counts, 0, 2, random.Random(0)) == 3
+    st = SimState(cycle_graph(4), hosts=[0, 2], traffic=None)
+    nbrs = st.graph.adjacency[0]
+    st.link_counts[0][nbrs.index(1)] = 20
+    st.link_counts[0][nbrs.index(3)] = 2
+    for _ in range(18):  # until the counters are level
+        st.inject(0, 2)
+        st.step()
+        assert (st.queue_length(1), st.queue_length(3)) == (0, 1)
+    assert st.link_counts[0] == [20, 20]
 
 
 def test_next_hop_random_tie_is_uniform():
-    g = cycle_graph(4)
-    dmat = all_pairs_hop_distances(g)
-    counts = [[0] * len(nbrs) for nbrs in g.adjacency]
-    rng = random.Random(0)
+    st = SimState(cycle_graph(4), hosts=[0, 2], traffic=None)
     picks = {1: 0, 3: 0}
     trials = 10_000
     for _ in range(trials):
-        picks[select_next_hop(g, dmat, counts, 0, 2, rng)] += 1
+        st.link_counts[0][:] = [0, 0]  # equal counters leave the pick to the RNG
+        st.inject(0, 2)
+        st.step()  # also delivers the previous packet from 1 or 3
+        assert st.queue_length(1) + st.queue_length(3) == 1
+        picks[1] += st.queue_length(1)
+        picks[3] += st.queue_length(3)
     assert abs(picks[1] / trials - 0.5) <= 0.05
     assert abs(picks[3] / trials - 0.5) <= 0.05
-
-
-def test_next_hop_always_reduces_distance():
-    g, _ = giant_component(
-        generate_static_model(GenParams.from_avg_degree(100, 3.0, 0.5, 8))
-    )
-    dmat = all_pairs_hop_distances(g)
-    counts = [[0] * len(nbrs) for nbrs in g.adjacency]
-    rng = random.Random(1)
-    prng = np.random.default_rng(2)
-    for _ in range(300):
-        node, dst = prng.integers(0, g.n_vertices, 2)
-        if node == dst:
-            continue
-        nxt = select_next_hop(g, dmat, counts, int(node), int(dst), rng)
-        assert dmat.dist[nxt, dst] == dmat.dist[node, dst] - 1
-
-
-def test_next_hop_unreachable_destination():
-    g = Graph(4, [(0, 1), (2, 3)])
-    dmat = all_pairs_hop_distances(g)
-    counts = [[0] * len(nbrs) for nbrs in g.adjacency]
-    with pytest.raises(ValueError, match="unreachable"):
-        select_next_hop(g, dmat, counts, 0, 2, random.Random(0))
-    other = all_pairs_hop_distances(path_graph(3))  # another graph's matrix
-    with pytest.raises(ValueError, match="does not match"):
-        select_next_hop(g, other, counts, 0, 1, random.Random(0))
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
@@ -121,7 +90,7 @@ def test_route_tables_hold_the_closest_neighbours(alpha):
     g, _ = giant_component(
         generate_static_model(GenParams.from_avg_degree(100, 3.0, alpha, 4))
     )
-    dmat = all_pairs_hop_distances(g)
+    dist = all_pairs_hop_distances(g)
     hosts = assign_hosts(g, 0.3, 4)
     st = SimState(g, hosts)
     for dst in hosts:
@@ -129,8 +98,8 @@ def test_route_tables_hold_the_closest_neighbours(alpha):
             if v == dst:
                 continue
             # reference: every neighbour at the minimum distance to dst
-            best = min(dmat.dist[u, dst] for u in nbrs)
-            expected = tuple(k for k, u in enumerate(nbrs) if dmat.dist[u, dst] == best)
+            best = min(dist[u, dst] for u in nbrs)
+            expected = tuple(k for k, u in enumerate(nbrs) if dist[u, dst] == best)
             assert st._routes[dst][v], (dst, v)
             assert st._routes[dst][v] == expected, (dst, v)
 
@@ -326,7 +295,7 @@ def test_conservation_and_delivery_bound_under_load():
 
 def test_delivery_times_at_least_hop_distance():
     g = cycle_graph(9)
-    dmat = all_pairs_hop_distances(g)
+    dist = all_pairs_hop_distances(g)
     st = SimState(g, hosts=list(range(9)),
                   traffic=ErramilliParams(1.5, 1.5, 0.5), seed=4,
                   check_invariants=True)
@@ -334,7 +303,7 @@ def test_delivery_times_at_least_hop_distance():
     delivered = [p for p in st.packets if p.delivered_at is not None]
     assert delivered
     for p in delivered:
-        assert p.delivered_at - p.created_at >= int(dmat.dist[p.src, p.dst])
+        assert p.delivered_at - p.created_at >= int(dist[p.src, p.dst])
 
 
 def test_simmetrics_digest_is_pinned():

@@ -12,10 +12,10 @@ from netqsim import (
     default_block_sizes,
     estimate_rate,
     hurst_aggregated_variance,
-    map_step,
     read_bit_trace,
     write_bit_trace,
 )
+from _helpers import advance, map_step
 
 # Frozen fixture: long-run rate at m1=m2=1.7, d=0.5 (8 orbits of 1e6 samples,
 # seed 31). Recorded after checking that doubling the samples moves the
@@ -89,23 +89,32 @@ def test_orbit_determinism():
 
 def test_bits_match_repeated_next_bit():
     p = ErramilliParams(2.0, 1.6, 0.7)
+    ref_src = ErramilliSource(p, seed=9)
+    ref = np.array([advance(ref_src) > p.d for _ in range(2000)], dtype=np.uint8)
     fast_src = ErramilliSource(p, seed=9)
-    fast = fast_src.bits(2000)
+    assert np.array_equal(fast_src.bits(2000), ref)
     slow_src = ErramilliSource(p, seed=9)
     slow = np.array([slow_src.next_bit() for _ in range(2000)], dtype=np.uint8)
-    assert np.array_equal(fast, slow)
+    assert np.array_equal(slow, ref)
     count_src = ErramilliSource(p, seed=9)
-    assert count_src.on_count(2000) == int(fast.sum())
-    assert fast_src.x == slow_src.x == count_src.x
+    assert count_src.on_count(2000) == int(ref.sum())
+    assert fast_src.x == slow_src.x == count_src.x == ref_src.x
 
 
-def test_fixed_x0_reproduces():
-    p = ErramilliParams(1.7, 1.7, 0.5)
-    a = ErramilliSource(p, seed=1, x0=0.3, burn_in=0).bits(1000)
-    b = ErramilliSource(p, seed=1, x0=0.3, burn_in=0).bits(1000)
-    assert np.array_equal(a, b)
-    with pytest.raises(ValueError):
-        ErramilliSource(p, seed=1, x0=1.5)
+def test_endpoint_traps_are_left_on_their_own_side():
+    p = ErramilliParams(1.5, 1.5, 0.5)
+    for x in (0.0, 1e-13, 1.0 - 1e-13, 1.0):
+        src, ref = ErramilliSource(p, seed=3), ErramilliSource(p, seed=3)
+        src.x = ref.x = x
+        assert src.next_bit() == (advance(ref) > p.d) == (x > p.d)
+        assert src.x == ref.x and 0.0 < src.x < 1.0
+
+
+@pytest.mark.parametrize("method", ["bits", "on_count"])
+def test_negative_count_names_the_count(method):
+    src = ErramilliSource(ErramilliParams(), seed=1)
+    with pytest.raises(ValueError, match="count must be >= 0, got -5"):
+        getattr(src, method)(-5)
 
 
 def test_high_threshold_gives_long_off_runs():
@@ -123,7 +132,8 @@ def test_on_fraction_near_half_at_symmetric_threshold():
 def test_orbit_stays_in_unit_interval():
     src = ErramilliSource(ErramilliParams(2.0, 2.0, 0.5), seed=13)
     for _ in range(10_000):
-        assert 0.0 <= src.advance() <= 1.0
+        src.next_bit()
+        assert 0.0 < src.x < 1.0
 
 
 # -- rate estimation and calibration -------------------------------------------------
