@@ -14,10 +14,11 @@ import numbers
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .graphs import UNREACHABLE, Graph
+from .graphs import UNREACHABLE, Graph, _csr
 from .load import _hop_distances
 from .traffic import ErramilliParams, ErramilliSource
 
@@ -25,6 +26,9 @@ from .traffic import ErramilliParams, ErramilliSource
 # Steps per block of source bits in SimState.run_steps; bounds the spawn
 # lists a block holds, whatever the number of steps asked for.
 _BLOCK_STEPS = 1024
+# (host, CSR slot) cells per block of _route_tables; bounds its temporaries
+# whatever the number of hosts.
+_ROUTE_BLOCK = 1 << 16
 
 
 class TooFewHosts(ValueError):
@@ -36,9 +40,9 @@ class InvariantViolation(AssertionError):
     asserted, so that it also runs under `python -O`."""
 
 
-def _check_steps(name: str, count) -> None:
-    if not isinstance(count, numbers.Integral) or count < 0:
-        raise ValueError(f"{name} must be an integer >= 0, got {count!r}")
+def _check_nonneg_int(name: str, value) -> None:
+    if not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 @dataclass(slots=True)
@@ -65,8 +69,9 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.rho <= 1.0:
             raise ValueError("rho must lie in (0, 1]")
-        _check_steps("warmup_steps", self.warmup_steps)
-        _check_steps("measure_steps", self.measure_steps)
+        _check_nonneg_int("warmup_steps", self.warmup_steps)
+        _check_nonneg_int("measure_steps", self.measure_steps)
+        _check_nonneg_int("seed", self.seed)
         if self.measure_steps < 1:
             raise ValueError("need measure_steps >= 1")
 
@@ -107,6 +112,56 @@ def _route(cand: tuple[int, ...], counts_row: list[int], tie_rng: random.Random)
         if len(cand) > 1:
             return cand[tie_rng.randrange(len(cand))]
     return cand[0]
+
+
+def _route_tables(
+    graph: Graph, hosts: list[int], dist: np.ndarray
+) -> list[list[tuple[int, ...]] | None]:
+    """Routes toward each host `dst`: entry v of its table holds the positions
+    in v's adjacency list of the neighbours one hop closer to dst, empty at
+    dst itself and out of its reach. Row i of `dist` holds the hop counts to
+    hosts[i]; the tables of other vertices are None.
+
+    Built with numpy over the CSR slots, a block of host rows at a time.
+    Every entry is first a code into the shared entries: 0 for none, 1 + k
+    for the one neighbour at position k, and past those the tuples of
+    several positions, interned, so that equal entries are one object.
+    """
+    n = graph.n_vertices
+    deg, indptr, indices = _csr(graph)
+    owner = np.repeat(np.arange(n), deg)
+    single: list[tuple[int, ...]] = [()] + [(k,) for k in range(int(deg.max()))]
+    shared: dict[tuple[int, ...], int] = {}
+    routes: list[list[tuple[int, ...]] | None] = [None] * n
+    rows = max(1, _ROUTE_BLOCK // indices.size)
+    for r0 in range(0, len(hosts), rows):
+        block = dist[r0 : r0 + rows]
+        # (row, slot) pairs whose neighbour is one hop closer to the row's
+        # host than the slot's owner, which nonzero lists by cell (row * n +
+        # owner), then by position
+        row, slot = np.nonzero(block[:, indices] == block[:, owner] - 1)
+        v = owner.take(slot)
+        pos = slot - indptr.take(v)
+        count = np.bincount(row * n + v, minlength=block.size)
+        first = np.cumsum(count) - count  # each cell's first pair
+        code = np.zeros(block.size, dtype=np.intp)
+        one = np.flatnonzero(count == 1)
+        code[one] = pos.take(first.take(one)) + 1
+        multi = np.flatnonzero(count > 1)
+        pos = pos.tolist()
+        code[multi] = len(single) + np.array(
+            [
+                shared.setdefault(tuple(pos[o : o + k]), len(shared))
+                for o, k in zip(first.take(multi).tolist(), count.take(multi).tolist())
+            ],
+            dtype=np.intp,
+        )
+        entries = np.fromiter(
+            chain(single, shared), dtype=object, count=len(single) + len(shared)
+        )
+        for dst, codes in zip(hosts[r0 : r0 + rows], code.reshape(block.shape)):
+            routes[dst] = entries.take(codes).tolist()
+    return routes
 
 
 class SimState:
@@ -160,18 +215,7 @@ class SimState:
         self._adj = graph.adjacency
         self._check = check_invariants
 
-        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._routes: list[list[tuple[int, ...]] | None] = [None] * n
-        for dst, row in zip(hosts, dist):
-            row = row.tolist()
-            table = []
-            for v, nbrs in enumerate(self._adj):
-                # positions of the neighbours one hop closer to dst; empty
-                # at dst itself and where dst is out of reach
-                target = row[v] - 1
-                closer = tuple([k for k, u in enumerate(nbrs) if row[u] == target])
-                table.append(shared.setdefault(closer, closer))
-            self._routes[dst] = table
+        self._routes = _route_tables(graph, hosts, dist)
 
         ss = np.random.SeedSequence(seed)
         dest_ss, tie_ss, *orbit_ss = ss.spawn(2 + (len(self.hosts) if traffic else 0))
@@ -232,7 +276,7 @@ class SimState:
 
     def run_steps(self, count: int) -> None:
         """Advance `count` time steps, in blocks of at most _BLOCK_STEPS."""
-        _check_steps("count", count)
+        _check_nonneg_int("count", count)
         for start in range(0, count, _BLOCK_STEPS):
             self._run_block(min(_BLOCK_STEPS, count - start))
 

@@ -9,6 +9,7 @@ larger exponent to 2.0 makes the binary sequence long-range dependent.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -17,6 +18,13 @@ import numpy as np
 # Orbits this close to the endpoint fixed points are reinjected; both
 # endpoints are measure-zero traps for finite-precision arithmetic.
 _ENDPOINT_EPS = 1e-12
+# Burn-in and orbit count of estimate_rate, which calibrate_d uses too; the
+# burn-in is also each source's default.
+_BURN_IN = 1000
+_N_ORBITS = 8
+# Steps per on_count call of the rate loop; calibrate_d's early stop looks
+# at the count this often.
+_RATE_CHUNK = 4096
 
 
 class NoConvergence(RuntimeError):
@@ -53,7 +61,10 @@ class ErramilliSource:
     any bit is consumed.
     """
 
-    def __init__(self, params: ErramilliParams, seed=None, burn_in: int = 1000):
+    def __init__(self, params: ErramilliParams, seed=None, burn_in: int = _BURN_IN):
+        _check_seed(seed)
+        if burn_in < 0:
+            raise ValueError(f"burn_in must be >= 0, got {burn_in!r}")
         self.params = params
         self.rng = np.random.default_rng(seed)
         x = self.rng.random()
@@ -110,27 +121,47 @@ class ErramilliSource:
         return self._orbit(count).count(1)
 
 
+def _check_seed(seed) -> None:
+    if isinstance(seed, numbers.Integral) and seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
+
+
+def _rate_bounds(params: ErramilliParams, burn_in: int, samples: int, seed, n_orbits: int):
+    """The rate loop of estimate_rate, yielding after every chunk of at most
+    _RATE_CHUNK steps the bounds (low, high) on its result: the On count so
+    far, and that count plus every step still to run, each over all steps.
+    The last pair is the rate twice."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples!r}")
+    if n_orbits < 1:
+        raise ValueError("n_orbits must be >= 1")
+    _check_seed(seed)
+    total = n_orbits * samples
+    count = 0
+    left = total
+    for child in np.random.SeedSequence(seed).spawn(n_orbits):
+        src = ErramilliSource(params, seed=child, burn_in=burn_in)
+        for start in range(0, samples, _RATE_CHUNK):
+            chunk = min(_RATE_CHUNK, samples - start)
+            count += src.on_count(chunk)
+            left -= chunk
+            yield count / total, (count + left) / total
+
+
 def estimate_rate(
     params: ErramilliParams,
-    burn_in: int = 1000,
+    burn_in: int = _BURN_IN,
     samples: int = 100_000,
     seed=0,
-    n_orbits: int = 8,
+    n_orbits: int = _N_ORBITS,
 ) -> float:
     """Mean On fraction after burn-in, averaged over independent orbits.
 
     Deterministic for a given seed: orbit seeds are spawned from it.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples!r}")
-    if n_orbits < 1:
-        raise ValueError("n_orbits must be >= 1")
-    children = np.random.SeedSequence(seed).spawn(n_orbits)
-    total = 0
-    for child in children:
-        src = ErramilliSource(params, seed=child, burn_in=burn_in)
-        total += src.on_count(samples)
-    return total / (n_orbits * samples)
+    for rate, _ in _rate_bounds(params, burn_in, samples, seed, n_orbits):
+        pass
+    return rate
 
 
 def calibrate_d(
@@ -145,22 +176,33 @@ def calibrate_d(
     """Bisect the threshold d until the measured On rate matches the target.
 
     The On rate decreases in d (larger Off interval), and evaluations reuse
-    the same seed so the objective is a fixed deterministic function of d.
+    the same seed so the objective is a fixed deterministic function of d:
+    the rate is `estimate_rate(..., samples=samples, seed=seed)` with its
+    other defaults. A midpoint's orbits stop as soon as the On count so far
+    decides the side: too high once its lower bound is above the band
+    `|rate - target_lambda| <= tol`, too low once its upper bound (every
+    step left On) is below it. Float division and subtraction are monotone,
+    so each decision, and the returned d, are those of the full estimate.
     """
     if not 0.0 < target_lambda < 1.0:
         raise ValueError("target_lambda must lie in (0, 1)")
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps!r}")
     lo, hi = 1e-9, 1.0 - 1e-9
     for _ in range(max_steps):
         mid = 0.5 * (lo + hi)
-        rate = estimate_rate(ErramilliParams(m1, m2, mid), samples=samples, seed=seed)
-        if abs(rate - target_lambda) <= tol:
+        params = ErramilliParams(m1, m2, mid)
+        for low, high in _rate_bounds(params, _BURN_IN, samples, seed, _N_ORBITS):
+            if low - target_lambda > tol:
+                lo = mid
+                break
+            if target_lambda - high > tol:
+                hi = mid
+                break
+        else:  # the full rate is in the band
             return mid
-        if rate > target_lambda:
-            lo = mid
-        else:
-            hi = mid
     raise NoConvergence(
         f"no d with |rate - {target_lambda}| <= {tol} in {max_steps} bisection steps"
     )

@@ -5,8 +5,16 @@ from collections import deque
 
 import numpy as np
 
-from netqsim import ErramilliParams, ErramilliSource, Graph
+from netqsim import (
+    ErramilliParams,
+    ErramilliSource,
+    Graph,
+    NoConvergence,
+    all_pairs_hop_distances,
+    estimate_rate,
+)
 from netqsim.traffic import _ENDPOINT_EPS
+
 
 def path_graph(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
@@ -218,3 +226,45 @@ def advance(src: ErramilliSource) -> float:
         x = p.d * src.rng.random()
     src.x = x
     return x
+
+
+def reference_calibrate_d(
+    m1: float,
+    m2: float,
+    target_lambda: float,
+    tol: float = 0.01,
+    seed=0,
+    samples: int = 100_000,
+    max_steps: int = 60,
+) -> float:
+    """Bisection with a full `estimate_rate` per midpoint, the oracle that
+    `calibrate_d` and its early stop must match: the same d, or
+    NoConvergence in the same cases."""
+    lo, hi = 1e-9, 1.0 - 1e-9
+    for _ in range(max_steps):
+        mid = 0.5 * (lo + hi)
+        rate = estimate_rate(ErramilliParams(m1, m2, mid), samples=samples, seed=seed)
+        if abs(rate - target_lambda) <= tol:
+            return mid
+        if rate > target_lambda:
+            lo = mid
+        else:
+            hi = mid
+    raise NoConvergence(f"no d in {max_steps} bisection steps")
+
+
+def reference_routes(g: Graph, hosts) -> list[list[tuple[int, ...]] | None]:
+    """Per-neighbour scan of the routing rule over the dense distances, the
+    oracle that `SimState`'s route tables must equal: for every host dst
+    and vertex v, the positions in v's adjacency list of the neighbours one
+    hop closer to dst, empty at dst itself and where dst is out of reach;
+    None for every vertex that is no host."""
+    dist = all_pairs_hop_distances(g)
+    routes: list[list[tuple[int, ...]] | None] = [None] * g.n_vertices
+    for dst in hosts:
+        row = dist[dst].tolist()
+        routes[dst] = [
+            tuple(k for k, u in enumerate(nbrs) if row[u] == row[v] - 1)
+            for v, nbrs in enumerate(g.adjacency)
+        ]
+    return routes

@@ -247,6 +247,19 @@ def test_avg_degree_not_finite_names_the_field(command, value, tmp_path, monkeyp
     assert not (tmp_path / "g.txt").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["traffic", "--d", "0.5", "--bits", "10"],
+    ["traffic", "--d", "0.5", "--estimate-rate"],
+    ["run", "--edges", "g.txt", "--d", "0.5", "--steps", "10"],
+])
+def test_negative_seed_names_the_field(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--n", "30", "--alpha", "0.5", "--giant", "--out", "g.txt"]) == 0
+    capsys.readouterr()
+    assert main(command + ["--seed", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("error: seed must be ")
+
+
 def test_sweep_fig12_deterministic_output(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

@@ -1,5 +1,6 @@
 """Property tests over random small graphs (hypothesis)."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+import netqsim.sim
 from netqsim import (
     ErramilliParams,
     Graph,
@@ -22,7 +24,7 @@ from netqsim import (
 )
 from netqsim.load import _hop_distances
 from netqsim.sim import SimState
-from _helpers import UnionFind, brute_force_load, reference_load
+from _helpers import UnionFind, brute_force_load, reference_load, reference_routes
 
 
 @st.composite
@@ -85,6 +87,45 @@ def test_giant_component_is_the_first_largest(g):
     gc, remap = giant_component(g)
     assert list(remap) == best and list(remap.values()) == list(range(len(best)))
     assert gc.edges() == [(remap[u], remap[v]) for u, v in g.edges() if u in remap]
+
+
+@st.composite
+def hub_graphs_and_hosts(draw) -> tuple[Graph, list[int], list[int]]:
+    """A random connected core (many vertices with several closer neighbours)
+    joined to a hub of 65 to 80 leaves, some of them also tied to the core,
+    plus a second component of up to 4 vertices; labels are shuffled.
+    Returns the graph, hosts drawn from the first component, and the second
+    component's vertices."""
+    core = draw(connected_graphs())
+    nc = core.n_vertices
+    hub = nc
+    leaves = range(nc + 1, nc + 1 + draw(st.integers(65, 80)))
+    edges = core.edges() + [(hub, leaf) for leaf in leaves]
+    edges += [(hub, v) for v in draw(st.sets(st.integers(0, nc - 1), min_size=1))]
+    for leaf in leaves:
+        tie = draw(st.none() | st.integers(0, nc - 1))
+        if tie is not None:
+            edges.append((tie, leaf))
+    first = leaves.stop
+    other = range(first, first + draw(st.integers(0, 4)))
+    edges += [(v, v + 1) for v in other[:-1]]
+    label = draw(st.permutations(range(other.stop)))
+    g = Graph(other.stop, [(label[u], label[v]) for u, v in edges])
+    hosts = draw(st.lists(st.sampled_from([label[v] for v in range(first)]),
+                          min_size=2, max_size=20, unique=True))
+    return g, hosts, [label[v] for v in other]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=hub_graphs_and_hosts(), block=st.integers(1, 4000))
+def test_route_tables_match_the_neighbour_scan(case, block):
+    g, hosts, other = case
+    with mock.patch.object(netqsim.sim, "_ROUTE_BLOCK", block):  # 1 to ~20 hosts a block
+        routes = SimState(g, hosts)._routes
+    assert routes == reference_routes(g, hosts)
+    assert all(routes[dst][v] == () for dst in hosts for v in other)
+    entries = [e for table in routes if table for e in table]
+    assert len({id(e) for e in entries}) == len(set(entries))  # equal entries interned
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import netqsim.traffic
 from netqsim import (
     ErramilliParams,
     ErramilliSource,
@@ -15,7 +17,8 @@ from netqsim import (
     read_bit_trace,
     write_bit_trace,
 )
-from _helpers import advance, map_step
+from netqsim.cli import _CALIBRATION_SEED, ExperimentPlan
+from _helpers import advance, map_step, reference_calibrate_d
 
 # Frozen fixture: long-run rate at m1=m2=1.7, d=0.5 (8 orbits of 1e6 samples,
 # seed 31). Recorded after checking that doubling the samples moves the
@@ -198,6 +201,56 @@ def test_estimate_rate_rejects_bad_samples(samples):
 def test_calibration_no_convergence():
     with pytest.raises(NoConvergence):
         calibrate_d(1.7, 1.7, 0.3, tol=1e-15, seed=1, samples=2000, max_steps=8)
+
+
+@pytest.mark.parametrize("max_steps", [0, -3])
+def test_calibration_rejects_bad_max_steps(max_steps):
+    with pytest.raises(ValueError, match=f"max_steps must be >= 1, got {max_steps}"):
+        calibrate_d(2.0, 2.0, 0.1, max_steps=max_steps)
+
+
+@pytest.mark.parametrize("name", ["burn_in", "seed"])
+@pytest.mark.parametrize("make", [ErramilliSource, estimate_rate])
+def test_negative_burn_in_or_seed_is_named(make, name):
+    with pytest.raises(ValueError, match=f"{name} must be >= 0, got -1"):
+        make(ErramilliParams(), **{name: -1})
+
+
+def test_calibration_early_stop_matches_full_bisection(monkeypatch):
+    # calibrate_d decides a midpoint from a partial count; a full estimate
+    # per midpoint must give the same d, or fail in the same cases
+    monkeypatch.setattr(netqsim.traffic, "_RATE_CHUNK", 700)  # 3 chunks an orbit
+    outcomes = set()
+    for (m1, m2, tol), target in itertools.product(
+        [(2.0, 2.0, 0.01), (1.5, 1.5, 0.002), (1.7, 2.0, 0.05), (2.0, 1.5, 1e-4)],
+        [0.005, 0.02, 0.1, 0.3, 0.6, 0.9],
+    ):
+        kwargs = dict(tol=tol, seed=7, samples=2000, max_steps=16)
+        try:
+            expected = reference_calibrate_d(m1, m2, target, **kwargs)
+        except NoConvergence:
+            with pytest.raises(NoConvergence):
+                calibrate_d(m1, m2, target, **kwargs)
+            outcomes.add("no convergence")
+        else:
+            assert calibrate_d(m1, m2, target, **kwargs) == expected, (m1, m2, tol, target)
+            outcomes.add("d")
+    assert outcomes == {"d", "no convergence"}
+
+
+def test_default_grid_calibrates_to_pinned_d():
+    plan = ExperimentPlan()
+    d = {
+        lam: calibrate_d(plan.m1, plan.m2, lam, tol=plan.calib_tol, seed=_CALIBRATION_SEED)
+        for lam in plan.lambdas
+    }
+    assert d == {
+        0.005: 0.9687499990624999,
+        0.01: 0.9687499990624999,
+        0.02: 0.9374999991249999,
+        0.05: 0.8945312492109374,
+        0.1: 0.812499999375,
+    }
 
 
 # -- Hurst estimation ------------------------------------------------------------------
