@@ -4,6 +4,7 @@ and delivery time vs generation rate per topology)."""
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -33,15 +34,11 @@ from .traffic import (
 # function of its own seed list.
 _CALIBRATION_SEED = 1_234_567
 
-FIG12_COLUMNS = ["alpha", "gamma", "seed", "n_giant", "cpl", "load_mean", "load_nstd"]
-FIG34_COLUMNS = [
-    "alpha", "gamma", "lambda", "seed", "n_giant", "cpl", "load_mean", "load_nstd",
-    "generated", "delivered", "mean_delivery_time", "in_flight", "max_queue",
-]
-RUN_COLUMNS = [
-    "alpha", "gamma", "lambda", "seed",
-    "generated", "delivered", "mean_delivery_time", "in_flight", "max_queue",
-]
+_TOPOLOGY_COLUMNS = ["n_giant", "cpl", "load_mean", "load_nstd"]
+_SIM_COLUMNS = ["generated", "delivered", "mean_delivery_time", "in_flight", "max_queue"]
+RUN_COLUMNS = ["alpha", "gamma", "lambda", "seed", *_SIM_COLUMNS]
+FIG34_COLUMNS = RUN_COLUMNS[:4] + _TOPOLOGY_COLUMNS + _SIM_COLUMNS
+FIG12_COLUMNS = ["alpha", "gamma", "seed", *_TOPOLOGY_COLUMNS]
 
 
 class ParseError(ValueError):
@@ -176,118 +173,90 @@ def gamma_of_alpha(alpha: float) -> float:
 def _build_topology(plan: ExperimentPlan, alpha: float, seed: int):
     """Generate, reduce to the giant component, and compute its
     characteristic path length and load statistics. Both come from the one
-    BFS pass of `load_and_cpl`; no sweep builds a dense distance matrix."""
+    BFS pass of `load_and_cpl`; no sweep builds a dense distance matrix.
+    Returns the graph and its `_TOPOLOGY_COLUMNS`."""
     params = GenParams.from_avg_degree(plan.n_vertices, plan.avg_degree, alpha, seed)
     g, _ = giant_component(generate_static_model(params))
     load, cpl = load_and_cpl(g)
-    return g, cpl, load_stats(load)
+    stats = load_stats(load)
+    return g, dict(zip(_TOPOLOGY_COLUMNS, (g.n_vertices, cpl, stats.mean, stats.normalized_std)))
+
+
+def _sweep(plan: ExperimentPlan, kind: str, columns: list[str], parts: list[dict], simulate,
+           progress) -> tuple[list[dict], list[dict], list[dict]]:
+    """One row per cell, in (alpha, seed, part) order. A part holds the key
+    columns between gamma and seed: `{}` for fig12, `{"lambda": lam}` for
+    fig34. The topology of an (alpha, seed) is built once for all its parts,
+    and `simulate(g, seed, part)` gives the columns of each part's row.
+
+    A failing cell is recorded and skipped so the rest of the sweep
+    survives; a failed topology fails every part of its (alpha, seed). The
+    seed average groups by the columns before "seed" and averages those
+    after it. Returns (per-seed rows, seed-averaged rows, failures).
+    """
+    rows = []
+    failures = []
+    for alpha in plan.alphas:
+        for seed in plan.seeds:
+            if progress:
+                progress(f"{kind} alpha={alpha} seed={seed}")
+            topology = None
+            for part in parts:
+                try:
+                    topology = topology or _build_topology(plan, alpha, seed)
+                    g, topology_columns = topology
+                    rows.append({
+                        "alpha": alpha, "gamma": gamma_of_alpha(alpha), **part, "seed": seed,
+                        **topology_columns, **simulate(g, seed, part),
+                    })
+                except Exception as exc:  # noqa: BLE001 - cell isolation by contract
+                    failed = parts if topology is None else [part]
+                    failures.extend(
+                        {"alpha": alpha, **p, "seed": seed, "error": repr(exc)} for p in failed
+                    )
+                    if topology is None:
+                        break
+    split = columns.index("seed")
+    return rows, average_records(rows, columns[:split], columns[split + 1:]), failures
 
 
 def run_fig12_sweep(
     plan: ExperimentPlan, progress=None
 ) -> tuple[list[dict], list[dict], list[dict]]:
-    """Load statistics against alpha: one row per (alpha, seed).
-
-    A failing cell is recorded and skipped so the rest of the sweep
-    survives. Returns (per-seed rows, seed-averaged rows, failures).
-    """
-    rows = []
-    failures = []
-    for alpha in plan.alphas:
-        for seed in plan.seeds:
-            if progress:
-                progress(f"fig12 alpha={alpha} seed={seed}")
-            try:
-                g, cpl, stats = _build_topology(plan, alpha, seed)
-            except Exception as exc:  # noqa: BLE001 - cell isolation by contract
-                failures.append({"alpha": alpha, "seed": seed, "error": repr(exc)})
-                continue
-            rows.append({
-                "alpha": alpha,
-                "gamma": gamma_of_alpha(alpha),
-                "seed": seed,
-                "n_giant": g.n_vertices,
-                "cpl": cpl,
-                "load_mean": stats.mean,
-                "load_nstd": stats.normalized_std,
-            })
-    avg = average_records(rows, ["alpha", "gamma"], ["n_giant", "cpl", "load_mean", "load_nstd"])
-    return rows, avg, failures
+    """Load statistics against alpha: one row per (alpha, seed), see `_sweep`."""
+    return _sweep(plan, "fig12", FIG12_COLUMNS, [{}], lambda g, seed, part: {}, progress)
 
 
 def _metrics_columns(metrics: SimMetrics) -> dict:
     """The simulation columns shared by the fig34 and `run` rows."""
-    return {
-        "generated": metrics.generated,
-        "delivered": metrics.delivered,
-        "mean_delivery_time": metrics.mean_delivery_time,
-        "in_flight": metrics.in_flight_at_end,
-        "max_queue": metrics.max_queue,
-    }
+    return dict(zip(_SIM_COLUMNS, (
+        metrics.generated, metrics.delivered, metrics.mean_delivery_time,
+        metrics.in_flight_at_end, metrics.max_queue,
+    )))
 
 
 def run_fig34_sweep(
     plan: ExperimentPlan, progress=None
 ) -> tuple[list[dict], list[dict], list[dict]]:
-    """Throughput and delivery time against the generation rate, per topology.
+    """Throughput and delivery time against the generation rate, per
+    topology: one simulation per (alpha, seed, lambda), see `_sweep`."""
+    d_for = functools.cache(lambda lam: calibrate_d(
+        plan.m1, plan.m2, lam, tol=plan.calib_tol, seed=_CALIBRATION_SEED
+    ))
 
-    One simulation per (alpha, lambda, seed); a failing cell is recorded and
-    skipped so the rest of the sweep survives. Returns (per-seed rows,
-    seed-averaged rows, failures).
-    """
-    calib_cache: dict[float, float] = {}
+    def simulate(g, seed: int, part: dict) -> dict:
+        config = SimConfig(
+            graph=g,
+            rho=plan.rho,
+            traffic=ErramilliParams(plan.m1, plan.m2, d_for(part["lambda"])),
+            warmup_steps=plan.warmup_steps,
+            measure_steps=plan.measure_steps,
+            seed=seed,
+        )
+        return _metrics_columns(run_sim(config))
 
-    def d_for(lam: float) -> float:
-        if lam not in calib_cache:
-            calib_cache[lam] = calibrate_d(
-                plan.m1, plan.m2, lam, tol=plan.calib_tol, seed=_CALIBRATION_SEED
-            )
-        return calib_cache[lam]
-
-    rows = []
-    failures = []
-    for alpha in plan.alphas:
-        for seed in plan.seeds:
-            if progress:
-                progress(f"fig34 alpha={alpha} seed={seed}")
-            try:
-                g, cpl, stats = _build_topology(plan, alpha, seed)
-            except Exception as exc:  # noqa: BLE001 - cell isolation by contract
-                for lam in plan.lambdas:
-                    failures.append(
-                        {"alpha": alpha, "lambda": lam, "seed": seed, "error": repr(exc)}
-                    )
-                continue
-            for lam in plan.lambdas:
-                try:
-                    config = SimConfig(
-                        graph=g,
-                        rho=plan.rho,
-                        traffic=ErramilliParams(plan.m1, plan.m2, d_for(lam)),
-                        warmup_steps=plan.warmup_steps,
-                        measure_steps=plan.measure_steps,
-                        seed=seed,
-                    )
-                    metrics = run_sim(config)
-                except Exception as exc:  # noqa: BLE001
-                    failures.append(
-                        {"alpha": alpha, "lambda": lam, "seed": seed, "error": repr(exc)}
-                    )
-                    continue
-                rows.append({
-                    "alpha": alpha,
-                    "gamma": gamma_of_alpha(alpha),
-                    "lambda": lam,
-                    "seed": seed,
-                    "n_giant": g.n_vertices,
-                    "cpl": cpl,
-                    "load_mean": stats.mean,
-                    "load_nstd": stats.normalized_std,
-                    **_metrics_columns(metrics),
-                })
-    metric_cols = [c for c in FIG34_COLUMNS if c not in ("alpha", "gamma", "lambda", "seed")]
-    avg = average_records(rows, ["alpha", "gamma", "lambda"], metric_cols)
-    return rows, avg, failures
+    parts = [{"lambda": lam} for lam in plan.lambdas]
+    return _sweep(plan, "fig34", FIG34_COLUMNS, parts, simulate, progress)
 
 
 def average_records(
@@ -325,23 +294,6 @@ def emit_csv(records: list[dict], path: str, columns: list[str]) -> None:
     lines.extend(",".join(_fmt(rec[c]) for c in columns) for rec in records)
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
-
-
-def read_csv(path: str) -> list[dict]:
-    """Parse an emit_csv file back into dicts (numbers as floats)."""
-    with open(path) as f:
-        lines = [line.rstrip("\n") for line in f if line.strip()]
-    header = lines[0].split(",")
-    out = []
-    for line in lines[1:]:
-        rec = {}
-        for key, tok in zip(header, line.split(",")):
-            try:
-                rec[key] = float(tok)
-            except ValueError:
-                rec[key] = tok
-        out.append(rec)
-    return out
 
 
 def _avg_path(path: str) -> str:
@@ -476,11 +428,11 @@ def _cmd_sweep(args) -> int:
     else:
         sweep, columns = run_fig34_sweep, FIG34_COLUMNS
     rows, avg, failures = sweep(plan, progress=progress)
+    for failure in failures:  # also when no cell is left to write
+        print(f"failed cell: {failure}", file=sys.stderr)
     emit_csv(rows, plan.out, columns)
     if avg:
         emit_csv(avg, _avg_path(plan.out), list(avg[0]))
-    for failure in failures:
-        print(f"failed cell: {failure}", file=sys.stderr)
     print(
         f"wrote {plan.out} ({len(rows)} rows) and {_avg_path(plan.out)} "
         f"({len(avg)} rows); {len(failures)} failed cells"

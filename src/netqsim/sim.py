@@ -96,6 +96,7 @@ def assign_hosts(g: Graph, rho: float, seed: int) -> list[int]:
     """Uniformly random host subset of size round(rho * N), sorted."""
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must lie in (0, 1]")
+    _check_nonneg_int("seed", seed)
     n = g.n_vertices
     count = int(math.floor(rho * n + 0.5))
     if count < 2:
@@ -198,6 +199,7 @@ class SimState:
         seed: int = 0,
         check_invariants: bool = False,
     ):
+        _check_nonneg_int("seed", seed)
         n = graph.n_vertices
         if len(hosts) < 2:
             raise TooFewHosts("need at least 2 hosts")

@@ -99,6 +99,23 @@ class UnionFind:
         return sizes
 
 
+def read_csv(path: str) -> list[dict]:
+    """Parse a `netqsim.cli.emit_csv` file back into dicts (numbers as floats)."""
+    with open(path) as f:
+        lines = [line.rstrip("\n") for line in f if line.strip()]
+    header = lines[0].split(",")
+    out = []
+    for line in lines[1:]:
+        rec = {}
+        for key, tok in zip(header, line.split(",")):
+            try:
+                rec[key] = float(tok)
+            except ValueError:
+                rec[key] = tok
+        out.append(rec)
+    return out
+
+
 def reference_load(g: Graph, include_endpoints: bool = False) -> np.ndarray:
     """Sequential Brandes load, one source at a time: the oracle that
     `compute_load` must match bit for bit.

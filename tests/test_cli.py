@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import netqsim.graphs
-from netqsim import read_bit_trace, read_edge_list
+from netqsim import NoConvergence, read_bit_trace, read_edge_list
 from netqsim.cli import (
     FIG12_COLUMNS,
     FIG34_COLUMNS,
@@ -18,10 +18,10 @@ from netqsim.cli import (
     gamma_of_alpha,
     main,
     parse_plan,
-    read_csv,
     run_fig12_sweep,
     run_fig34_sweep,
 )
+from _helpers import read_csv
 
 DATA = Path(__file__).parent / "data"
 
@@ -327,6 +327,76 @@ def test_fig12_sweep_isolates_failing_cells(monkeypatch):
     assert avg[0]["n_seeds"] == 2
 
 
+def test_fig34_topology_failure_fails_every_lambda(monkeypatch):
+    import netqsim.cli as cli
+
+    real_generate = cli.generate_static_model
+    built = []
+
+    def flaky_generate(params):
+        built.append((params.alpha, params.seed))
+        if params.seed == 1:
+            raise RuntimeError("boom")
+        return real_generate(params)
+
+    monkeypatch.setattr(cli, "generate_static_model", flaky_generate)
+    monkeypatch.setattr(cli, "calibrate_d", lambda *args, **kwargs: 0.8)
+    plan = ExperimentPlan(
+        n_vertices=30, avg_degree=2.0, alphas=[0.0, 1.0], lambdas=[0.1, 0.2],
+        seeds=[0, 1], warmup_steps=20, measure_steps=100,
+    )
+    rows, _, failures = run_fig34_sweep(plan)
+    assert built == [(0.0, 0), (0.0, 1), (1.0, 0), (1.0, 1)]  # once per (alpha, seed)
+    assert [(r["alpha"], r["seed"], r["lambda"]) for r in rows] == [
+        (0.0, 0, 0.1), (0.0, 0, 0.2), (1.0, 0, 0.1), (1.0, 0, 0.2),
+    ]
+    assert failures == [
+        {"alpha": alpha, "lambda": lam, "seed": 1, "error": "RuntimeError('boom')"}
+        for alpha in (0.0, 1.0) for lam in (0.1, 0.2)
+    ]
+
+
+def test_fig34_calibration_failure_fails_only_its_lambda(monkeypatch):
+    import netqsim.cli as cli
+
+    calibrated = []
+
+    def calibrate(m1, m2, lam, **kwargs):
+        calibrated.append(lam)
+        if lam == 0.1:
+            raise NoConvergence("no d")
+        return 0.8
+
+    monkeypatch.setattr(cli, "calibrate_d", calibrate)
+    plan = ExperimentPlan(
+        n_vertices=30, avg_degree=2.0, alphas=[0.0], lambdas=[0.1, 0.2],
+        seeds=[0, 1, 2], warmup_steps=20, measure_steps=100,
+    )
+    rows, avg, failures = run_fig34_sweep(plan)
+    assert [(r["seed"], r["lambda"]) for r in rows] == [(0, 0.2), (1, 0.2), (2, 0.2)]
+    assert failures == [
+        {"alpha": 0.0, "lambda": 0.1, "seed": seed, "error": "NoConvergence('no d')"}
+        for seed in (0, 1, 2)
+    ]
+    assert [a["lambda"] for a in avg] == [0.2]
+    # a calibrated d is reused; a failed calibration is not cached
+    assert calibrated == [0.1, 0.2, 0.1, 0.1]
+
+
+@pytest.mark.parametrize("kind, sweep", [("fig12", run_fig12_sweep), ("fig34", run_fig34_sweep)])
+def test_progress_once_per_alpha_seed(kind, sweep, monkeypatch):
+    import netqsim.cli as cli
+
+    monkeypatch.setattr(cli, "calibrate_d", lambda *args, **kwargs: 0.8)
+    plan = ExperimentPlan(
+        n_vertices=30, avg_degree=2.0, alphas=[0.0, 1.0], lambdas=[0.1, 0.2],
+        seeds=[0, 1], warmup_steps=20, measure_steps=100,
+    )
+    messages = []
+    sweep(plan, progress=messages.append)
+    assert messages == [f"{kind} alpha={a} seed={s}" for a in (0.0, 1.0) for s in (0, 1)]
+
+
 def test_fig34_builds_no_distance_matrix(monkeypatch):
     def no_apsp(*args, **kwargs):
         raise AssertionError("fig34 built the dense distance matrix")
@@ -339,6 +409,21 @@ def test_fig34_builds_no_distance_matrix(monkeypatch):
     )
     rows, _, failures = run_fig34_sweep(plan)
     assert failures == [] and len(rows) == 8
+
+
+def test_sweep_with_every_cell_failed_prints_each_failure(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main([
+        "sweep", "--kind", "fig34", "--n", "30", "--avg-degree", "2",
+        "--alphas", "0,1", "--lambdas", "0.2", "--seeds", "0,1", "--rho", "0.01",
+        "--warmup", "5", "--steps", "10", "--out", str(out),
+    ]) == 1
+    err = capsys.readouterr().err.splitlines()
+    failed = [line for line in err if line.startswith("failed cell: ")]
+    assert len(failed) == 4
+    assert all("TooFewHosts" in line for line in failed)
+    assert err[-1] == "error: no records to write"
+    assert not out.exists()
 
 
 def test_sweep_config_file(tmp_path):
@@ -385,13 +470,19 @@ def test_public_names_are_pinned():
 
 # -- benchmark tracer --------------------------------------------------------------------
 
+def _load_perfbench(name: str):
+    """A module of perfbench/, which is no package, loaded by path."""
+    path = Path(__file__).parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_tracer_targets_resolve():
     # perfbench/spans.py patches these names from outside the program; a
     # rename here would silently drop a layer from the traced benchmark
-    path = Path(__file__).parent.parent / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load_perfbench("spans")
     assert spans.TARGETS
     for module, qualname, *_ in spans.TARGETS:
         owner = importlib.import_module(module)
@@ -406,3 +497,18 @@ def test_benchmark_tracer_targets_resolve():
                         (SimState.run_steps, {"count"}), (run, {"config"})):
         missing = names - set(inspect.signature(func).parameters)
         assert not missing, f"{func.__qualname__} lacks {sorted(missing)}"
+
+
+def test_benchmark_cell_checks_pass():
+    # the benchmark's cell_pass_ratio counts the cells these checks pass
+    checks = _load_perfbench("checks")
+    plan = ExperimentPlan(
+        n_vertices=40, alphas=[0.0, 1.0], lambdas=[0.05, 0.2], seeds=[0, 1],
+        warmup_steps=20, measure_steps=100,
+    )
+    rows, _, failures = run_fig12_sweep(plan)
+    assert checks.check_sweep("fig12", plan, rows, failures, []) == {}
+    with checks.capture_sims([]) as sims:
+        rows, _, failures = run_fig34_sweep(plan)
+    assert len(sims) == 8
+    assert checks.check_sweep("fig34", plan, rows, failures, sims) == {}

@@ -54,6 +54,14 @@ def test_assign_hosts_errors():
         assign_hosts(g, 1.5, seed=1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda g: SimState(g, [0, 3], seed=-1), lambda g: assign_hosts(g, 0.5, -1),
+], ids=["SimState", "assign_hosts"])
+def test_negative_seed_is_named(build):
+    with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got -1$"):
+        build(path_graph(4))
+
+
 # -- next-hop selection -------------------------------------------------------------
 
 def test_next_hop_counter_tie_break():
