@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -69,6 +70,11 @@ class ExperimentPlan:
     out: str | None = None
 
     def validate(self) -> None:
+        for name, value in (
+            ("n", self.n_vertices), ("warmup", self.warmup_steps), ("steps", self.measure_steps)
+        ):
+            if not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{name}: {value!r} is not an integer")
         if self.n_vertices < 2:
             raise ValidationError("n: need at least 2 vertices")
         if not math.isfinite(self.avg_degree):
@@ -86,6 +92,8 @@ class ExperimentPlan:
             if repeated:
                 raise ValidationError(f"{name}: {repeated[0]} repeated")
         for seed in self.seeds:
+            if not isinstance(seed, numbers.Integral):
+                raise ValidationError(f"seeds: {seed!r} is not an integer")
             if seed < 0:
                 raise ValidationError(f"seeds: {seed} is negative")
         for a in self.alphas:
@@ -240,15 +248,26 @@ def run_fig34_sweep(
 ) -> tuple[list[dict], list[dict], list[dict]]:
     """Throughput and delivery time against the generation rate, per
     topology: one simulation per (alpha, seed, lambda), see `_sweep`."""
-    d_for = functools.cache(lambda lam: calibrate_d(
-        plan.m1, plan.m2, lam, tol=plan.calib_tol, seed=_CALIBRATION_SEED
-    ))
+
+    @functools.cache
+    def calibrated(lam: float):
+        """d for `lam`, or the error of its failed calibration: either is
+        found once per sweep, not once per cell."""
+        try:
+            return calibrate_d(
+                plan.m1, plan.m2, lam, tol=plan.calib_tol, seed=_CALIBRATION_SEED
+            )
+        except Exception as exc:  # noqa: BLE001 - failed by _sweep in each of its cells
+            return exc
 
     def simulate(g, seed: int, part: dict) -> dict:
+        d = calibrated(part["lambda"])
+        if isinstance(d, Exception):
+            raise d.with_traceback(None)  # without the frames of earlier cells
         config = SimConfig(
             graph=g,
             rho=plan.rho,
-            traffic=ErramilliParams(plan.m1, plan.m2, d_for(part["lambda"])),
+            traffic=ErramilliParams(plan.m1, plan.m2, d),
             warmup_steps=plan.warmup_steps,
             measure_steps=plan.measure_steps,
             seed=seed,
@@ -344,6 +363,12 @@ def _resolve_d(args) -> tuple[float, float]:
 
 
 def _cmd_traffic(args) -> int:
+    if args.bits is None:
+        for flag in ("hurst", "out"):
+            if getattr(args, flag):
+                raise ValidationError(f"--{flag} requires --bits")
+    elif args.bits < 1:
+        raise ValidationError(f"--bits: must be >= 1, got {args.bits}")
     d, _ = _resolve_d(args)
     if args.target_lambda is not None:
         print(f"d={d!r}")
@@ -351,7 +376,7 @@ def _cmd_traffic(args) -> int:
     if args.estimate_rate:
         rate = estimate_rate(params, seed=args.seed)
         print(f"rate={rate!r}")
-    if args.bits:
+    if args.bits is not None:
         src = ErramilliSource(params, seed=args.seed)
         bits = src.bits(args.bits)
         if args.out:
@@ -362,8 +387,6 @@ def _cmd_traffic(args) -> int:
             sizes = default_block_sizes(max(10, max_block // 100), max_block)
             h = hurst_aggregated_variance(bits, sizes)
             print(f"hurst={h!r}")
-    elif args.hurst:
-        raise ValidationError("--hurst requires --bits")
     return 0
 
 

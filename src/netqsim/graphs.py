@@ -3,6 +3,10 @@
 The generator draws edge endpoints with probability proportional to the fixed
 vertex fitness (i+1)**-alpha, so alpha=0 degenerates to a uniform G(N, M)
 random graph and alpha>0 yields power-law degree tails.
+
+Hop distances come from one scipy BFS, `_hop_distances`: the simulator's
+host rows, and from every vertex `all_pairs_hop_distances`, a test oracle.
+Brandes' BFS in `load` keeps its own, as it also counts geodesics.
 """
 from __future__ import annotations
 
@@ -227,12 +231,20 @@ def fit_powerlaw_exponent(hist: dict[int, int], k_min: int) -> float:
     return 1.0 + n / log_sum
 
 
-def all_pairs_hop_distances(g: Graph) -> np.ndarray:
-    """BFS hop counts between every vertex pair (scipy csgraph backend), an
-    int32 N x N array; UNREACHABLE (-1) marks cross-component entries."""
-    d = shortest_path(_adjacency_matrix(g), method="D", directed=False, unweighted=True)
-    d[np.isinf(d)] = UNREACHABLE  # in place: no second N x N float64 array
+def _hop_distances(g: Graph, sources) -> np.ndarray:
+    """BFS hop counts from each source to every vertex (scipy csgraph
+    backend), an int32 array with one row per source; UNREACHABLE (-1) marks
+    vertices in another component."""
+    d = shortest_path(
+        _adjacency_matrix(g), method="D", directed=False, unweighted=True, indices=sources
+    )
+    d[np.isinf(d)] = UNREACHABLE  # in place: no second float64 array
     return d.astype(np.int32)
+
+
+def all_pairs_hop_distances(g: Graph) -> np.ndarray:
+    """`_hop_distances` from every vertex: the int32 N x N array."""
+    return _hop_distances(g, np.arange(g.n_vertices))
 
 
 def characteristic_path_length(d: np.ndarray) -> float:

@@ -7,10 +7,8 @@ blocks of sources. It is bit-identical to the sequential per-source loop,
 which the tests keep as their reference. The same BFS visits every hop
 distance, so `load_and_cpl` also returns the characteristic path length from
 that one pass, equal to `characteristic_path_length` of the dense distance
-matrix without building it. The simulator routes by `_hop_distances`, a
-plain BFS from its hosts over the same frontier expansion as Brandes'.
-The tests cross-check both against independent oracles, among them a
-brute-force enumeration of every shortest path.
+matrix without building it. The tests cross-check both against independent
+oracles, among them a brute-force enumeration of every shortest path.
 """
 from __future__ import annotations
 
@@ -18,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import UNREACHABLE, Graph, NoReachablePairs, _csr
+from .graphs import Graph, NoReachablePairs, _csr
 
 # Cells (source, vertex) per block of compute_load: small enough that the
 # block's state stays in cache, large enough to amortise the per-level calls.
@@ -89,31 +87,6 @@ def _expand(csr, front: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cand, seg
 
 
-def _blocks(n: int, sources: np.ndarray):
-    """`sources` in consecutive blocks of about _BLOCK_CELLS cells."""
-    block = max(1, _BLOCK_CELLS // n)
-    return (sources[s0 : s0 + block] for s0 in range(0, sources.size, block))
-
-
-def _hop_distances(g: Graph, sources) -> np.ndarray:
-    """Hop counts from each source to every vertex, one row per source;
-    UNREACHABLE (-1) marks vertices in another component."""
-    n = g.n_vertices
-    csr = _csr(g)
-    rows = []
-    for block in _blocks(n, np.asarray(sources, dtype=np.intp)):
-        dist = np.full((block.size, n), UNREACHABLE, dtype=np.int32)
-        front = np.arange(block.size) * n + block  # flat cells, as in _expand
-        depth = 0
-        while front.size:
-            dist.put(front, depth)
-            depth += 1
-            cand, _ = _expand(csr, front)
-            front = np.unique(cand.compress(dist.take(cand) < 0))
-        rows.append(dist)
-    return np.concatenate(rows)
-
-
 def _brandes(g: Graph) -> tuple[np.ndarray, np.ndarray, int]:
     """Load without endpoint terms, the number of vertices each vertex
     reaches, and the total hop count over ordered reachable pairs."""
@@ -122,7 +95,8 @@ def _brandes(g: Graph) -> tuple[np.ndarray, np.ndarray, int]:
     load = np.zeros(n)
     reach = np.zeros(n, dtype=np.intp)
     hops = 0
-    for sources in _blocks(n, np.arange(n)):
+    block = max(1, _BLOCK_CELLS // n)
+    for sources in np.split(np.arange(n), range(block, n, block)):
         delta, reach[sources], block_hops = _dependencies(csr, sources)
         hops += block_hops
         for row in delta:  # ascending source order, as a per-source loop adds

@@ -18,8 +18,7 @@ from itertools import chain
 
 import numpy as np
 
-from .graphs import UNREACHABLE, Graph, _csr
-from .load import _hop_distances
+from .graphs import UNREACHABLE, Graph, _csr, _hop_distances
 from .traffic import ErramilliParams, ErramilliSource
 
 

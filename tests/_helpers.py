@@ -60,16 +60,9 @@ def floyd_warshall(g: Graph) -> np.ndarray:
     d = np.full((n, n), big, dtype=np.int64)
     np.fill_diagonal(d, 0)
     for u in range(n):
-        for v in g.adjacency[u]:
-            d[u, v] = 1
-    for k in range(n):
-        for i in range(n):
-            dik = d[i, k]
-            if dik >= big:
-                continue
-            for j in range(n):
-                if dik + d[k, j] < d[i, j]:
-                    d[i, j] = dik + d[k, j]
+        d[u, g.adjacency[u]] = 1
+    for k in range(n):  # relax every pair (i, j) through k at once
+        np.minimum(d, d[:, k, None] + d[k], out=d)
     d[d >= big] = -1
     return d
 

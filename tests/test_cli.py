@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import inspect
 import math
@@ -94,6 +95,16 @@ def test_validation_errors_name_the_field():
 def test_repeated_plan_values_are_rejected(field, values, repeated):
     with pytest.raises(ValidationError, match=f"^{field}: {repeated} repeated$"):
         parse_plan(f"{field} = {values}\n")
+
+
+@pytest.mark.parametrize("field, kwargs", [
+    ("n", {"n_vertices": 40.5}), ("seeds", {"seeds": [0, 1.5]}),
+    ("warmup", {"warmup_steps": 10.5}), ("steps", {"measure_steps": 100.5}),
+])
+def test_non_integer_plan_values_are_rejected(field, kwargs):
+    # each would otherwise fail every fig34 cell in SimConfig, SeedSequence or range
+    with pytest.raises(ValidationError, match=f"^{field}: [0-9.]+ is not an integer$"):
+        ExperimentPlan(**kwargs).validate()
 
 
 def test_gamma_of_alpha():
@@ -234,6 +245,19 @@ def test_traffic_flag_conflicts(capsys):
     assert main(["run", "--edges", "g.txt", "--alpha", "0.9", "--d", "0.9"]) == 1
     assert main(["run", "--d", "0.9"]) == 1
     assert capsys.readouterr().err.count("--edges") == 2
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--bits", "0", "--out", "t.txt"], "--bits: must be >= 1, got 0"),
+    (["--bits", "-5"], "--bits: must be >= 1, got -5"),
+    (["--out", "t.txt"], "--out requires --bits"),
+])
+def test_traffic_with_no_bits_to_draw_names_the_flag(flags, message, tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["traffic", "--d", "0.5", *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "t.txt").exists()
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -379,8 +403,8 @@ def test_fig34_calibration_failure_fails_only_its_lambda(monkeypatch):
         for seed in (0, 1, 2)
     ]
     assert [a["lambda"] for a in avg] == [0.2]
-    # a calibrated d is reused; a failed calibration is not cached
-    assert calibrated == [0.1, 0.2, 0.1, 0.1]
+    # each lambda is calibrated once per sweep, also when its calibration fails
+    assert calibrated == [0.1, 0.2]
 
 
 @pytest.mark.parametrize("kind, sweep", [("fig12", run_fig12_sweep), ("fig34", run_fig34_sweep)])
@@ -398,17 +422,23 @@ def test_progress_once_per_alpha_seed(kind, sweep, monkeypatch):
 
 
 def test_fig34_builds_no_distance_matrix(monkeypatch):
-    def no_apsp(*args, **kwargs):
-        raise AssertionError("fig34 built the dense distance matrix")
+    shortest_path = netqsim.graphs.shortest_path
+    rows_asked = []
 
-    # the simulator routes by one BFS per host
-    monkeypatch.setattr(netqsim.graphs, "shortest_path", no_apsp)
+    def host_rows_only(adjacency, *args, indices=None, **kwargs):
+        assert indices is not None, "fig34 built the dense distance matrix"
+        rows_asked.append((len(indices), adjacency.shape[0]))
+        return shortest_path(adjacency, *args, indices=indices, **kwargs)
+
+    # the simulator routes by one BFS row per host, never one per vertex
+    monkeypatch.setattr(netqsim.graphs, "shortest_path", host_rows_only)
     plan = ExperimentPlan(
         n_vertices=30, avg_degree=2.0, alphas=[0.0, 1.0], lambdas=[0.1, 0.2],
         seeds=[0, 1], warmup_steps=20, measure_steps=100,
     )
     rows, _, failures = run_fig34_sweep(plan)
     assert failures == [] and len(rows) == 8
+    assert len(rows_asked) == 8 and all(h < n for h, n in rows_asked)
 
 
 def test_sweep_with_every_cell_failed_prints_each_failure(tmp_path, capsys):
@@ -466,6 +496,23 @@ def test_public_names_are_pinned():
         "load_and_cpl", "load_stats", "measure_load_proxy", "read_bit_trace",
         "read_edge_list", "run", "write_bit_trace", "write_edge_list", "write_load_csv",
     ]
+
+
+def test_module_layering_is_pinned():
+    # each module imports only the layers below it; a new edge is a deliberate act
+    layers = {
+        "graphs": set(), "traffic": set(), "load": {"graphs"}, "sim": {"graphs", "traffic"},
+        "cli": {"graphs", "load", "sim", "traffic"},
+        "__init__": {"graphs", "load", "sim", "traffic"}, "__main__": {"cli"},
+    }
+    imports = {}
+    for path in Path(netqsim.__file__).parent.glob("*.py"):
+        imports[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:  # a relative import
+                names = [node.module] if node.module else [a.name for a in node.names]
+                imports[path.stem].update(names)
+    assert imports == layers
 
 
 # -- benchmark tracer --------------------------------------------------------------------

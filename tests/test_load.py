@@ -17,11 +17,13 @@ from netqsim import (
     write_load_csv,
 )
 from netqsim import load as load_module
+from netqsim.graphs import _hop_distances
 from _helpers import (
     TooLarge,
     brute_force_load,
     complete_graph,
     cycle_graph,
+    floyd_warshall,
     grid_graph,
     path_graph,
     petersen_graph,
@@ -133,10 +135,10 @@ def test_cpl_from_one_pass_equals_dense_oracle():
 
 def test_hop_distances_equal_dense_rows():
     for g in kernel_graphs():
-        dense = all_pairs_hop_distances(g)
+        dense = floyd_warshall(g)
         everyone = list(range(g.n_vertices))
-        for sources in (everyone, everyone[::-3]):  # several blocks; unsorted
-            assert np.array_equal(load_module._hop_distances(g, sources), dense[sources])
+        for sources in (everyone, everyone[::-3]):  # all rows; unsorted
+            assert np.array_equal(_hop_distances(g, sources), dense[sources])
 
 
 def test_geodesic_counts_beyond_exact_float64_raise():

@@ -22,9 +22,11 @@ from netqsim import (
     measure_load_proxy,
     run,
 )
-from netqsim.load import _hop_distances
+from netqsim.graphs import _hop_distances
 from netqsim.sim import SimState
-from _helpers import UnionFind, brute_force_load, reference_load, reference_routes
+from _helpers import (
+    UnionFind, brute_force_load, floyd_warshall, reference_load, reference_routes,
+)
 
 
 @st.composite
@@ -71,7 +73,7 @@ def test_cpl_from_one_pass_matches_dense_oracle(g):
 @given(g=small_graphs(), data=st.data())
 def test_hop_distances_match_dense_oracle(g, data):
     sources = data.draw(st.lists(st.integers(0, g.n_vertices - 1), min_size=1))
-    assert np.array_equal(_hop_distances(g, sources), all_pairs_hop_distances(g)[sources])
+    assert np.array_equal(_hop_distances(g, sources), floyd_warshall(g)[sources])
 
 
 @settings(max_examples=200, deadline=None)
