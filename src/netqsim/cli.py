@@ -24,6 +24,7 @@ from .sim import SimConfig, SimMetrics, run as run_sim
 from .traffic import (
     ErramilliParams,
     ErramilliSource,
+    _check_seed,
     calibrate_d,
     default_block_sizes,
     estimate_rate,
@@ -143,10 +144,11 @@ _SWEEP_FLAGS = [key for key in _PLAN_KEYS if key != "calib_tol"]
 def parse_plan(text: str, overrides: dict[str, str] | None = None) -> ExperimentPlan:
     """Build a plan from `key = value` config text, then apply flag overrides.
 
-    Unknown keys and malformed lines raise ParseError with the line number;
-    out-of-range values raise ValidationError naming the field.
+    Unknown or repeated keys and malformed lines raise ParseError with the
+    line number; out-of-range values raise ValidationError naming the field.
     """
     kwargs = {}
+    key_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -157,6 +159,9 @@ def parse_plan(text: str, overrides: dict[str, str] | None = None) -> Experiment
         key, value = key.strip(), value.strip()
         if key not in _PLAN_KEYS:
             raise ParseError(lineno, f"unknown key {key!r}")
+        if key in key_line:
+            raise ParseError(lineno, f"key {key!r} already set on line {key_line[key]}")
+        key_line[key] = lineno
         attr, parse = _PLAN_KEYS[key]
         try:
             kwargs[attr] = parse(value)
@@ -363,12 +368,15 @@ def _resolve_d(args) -> tuple[float, float]:
 
 
 def _cmd_traffic(args) -> int:
+    _check_seed(args.seed)  # a bad seed is named before any flag conflict
     if args.bits is None:
         for flag in ("hurst", "out"):
             if getattr(args, flag):
                 raise ValidationError(f"--{flag} requires --bits")
     elif args.bits < 1:
         raise ValidationError(f"--bits: must be >= 1, got {args.bits}")
+    elif not (args.out or args.hurst):
+        raise ValidationError("--bits requires --out or --hurst")
     d, _ = _resolve_d(args)
     if args.target_lambda is not None:
         print(f"d={d!r}")
@@ -439,7 +447,10 @@ def _cmd_sweep(args) -> int:
     overrides = {
         key: getattr(args, key) for key in _SWEEP_FLAGS if getattr(args, key) is not None
     }
-    plan = parse_plan(text, overrides)
+    try:
+        plan = parse_plan(text, overrides)
+    except ParseError as exc:  # only the config text raises it
+        raise ValueError(f"{args.config}, {exc}") from None
     if not plan.out:
         raise ValidationError("out: no output path (use --out or config)")
 

@@ -4,9 +4,9 @@ The generator draws edge endpoints with probability proportional to the fixed
 vertex fitness (i+1)**-alpha, so alpha=0 degenerates to a uniform G(N, M)
 random graph and alpha>0 yields power-law degree tails.
 
-Hop distances come from one scipy BFS, `_hop_distances`: the simulator's
-host rows, and from every vertex `all_pairs_hop_distances`, a test oracle.
-Brandes' BFS in `load` keeps its own, as it also counts geodesics.
+Traversals are numpy over the `_csr` arrays. `_expand` lists a BFS level's
+neighbours for `_hop_distances` (the simulator's host rows; from every vertex,
+`all_pairs_hop_distances`, a test oracle) and for Brandes' BFS in `load`.
 """
 from __future__ import annotations
 
@@ -17,14 +17,14 @@ from itertools import chain
 from typing import Iterable
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
 
 UNREACHABLE = -1
 
 # Pairs drawn per RNG batch; a deterministic function of remaining work only,
 # so the consumed random stream is reproducible for a given seed.
 _MAX_BATCH = 4096
+# Cells (source row, vertex) per block of _hop_distances.
+_BFS_CELLS = 1 << 16
 
 
 class AttemptBudgetExceeded(RuntimeError):
@@ -183,10 +183,20 @@ def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return deg, indptr, indices
 
 
-def _adjacency_matrix(g: Graph) -> csr_matrix:
-    _, indptr, indices = _csr(g)
-    n = g.n_vertices
-    return csr_matrix((np.ones(indices.size, dtype=np.int8), indices, indptr), shape=(n, n))
+def _expand(csr, front: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (frontier cell, neighbour) pair of a BFS level, in frontier
+    order, then adjacency order: the neighbour cells (a cell of source row
+    r and vertex v is r * n + v) and the frontier index of each."""
+    deg, indptr, indices = csr
+    front_v = front % deg.size
+    cnt = deg.take(front_v)
+    ends = np.cumsum(cnt)
+    seg = np.repeat(np.arange(cnt.size), cnt)
+    cand = (indptr.take(front_v) - ends + cnt).take(seg)
+    cand += np.arange(int(ends[-1]))
+    cand = indices.take(cand)
+    cand += (front - front_v).take(seg)
+    return cand, seg
 
 
 def giant_component(g: Graph) -> tuple[Graph, dict[int, int]]:
@@ -195,11 +205,24 @@ def giant_component(g: Graph) -> tuple[Graph, dict[int, int]]:
     Returns the component subgraph and the old-index -> new-index map.
     Equal-size ties go to the component containing the smallest original
     index.
+
+    Labels come from hook and full shortcut over the CSR slots: every root
+    hooks onto the smallest root across its edges, then pointers jump until
+    each vertex points at its root, so a label ends at its component's
+    smallest vertex in a number of rounds that ignores the diameter.
     """
-    _, labels = connected_components(_adjacency_matrix(g), directed=False)
-    sizes = np.bincount(labels)
-    first = np.flatnonzero(sizes[labels] == sizes.max())[0]
-    old = np.flatnonzero(labels == labels[first]).tolist()
+    deg, _, v = _csr(g)
+    label = np.arange(g.n_vertices)
+    u = np.repeat(label, deg)
+    while True:
+        lu, lv = label.take(u), label.take(v)
+        down = lv < lu  # an edge between two trees, from the larger root's side
+        if not down.any():
+            break
+        np.minimum.at(label, lu[down], lv[down])  # hook
+        while not np.array_equal(up := label.take(label), label):  # shortcut
+            label = up
+    old = np.flatnonzero(label == np.bincount(label).argmax()).tolist()  # first largest
     remap = {o: i for i, o in enumerate(old)}
     edges = [(remap[u], remap[v]) for u in old for v in g.adjacency[u] if u < v]
     return Graph(len(old), edges), remap
@@ -232,14 +255,25 @@ def fit_powerlaw_exponent(hist: dict[int, int], k_min: int) -> float:
 
 
 def _hop_distances(g: Graph, sources) -> np.ndarray:
-    """BFS hop counts from each source to every vertex (scipy csgraph
-    backend), an int32 array with one row per source; UNREACHABLE (-1) marks
-    vertices in another component."""
-    d = shortest_path(
-        _adjacency_matrix(g), method="D", directed=False, unweighted=True, indices=sources
-    )
-    d[np.isinf(d)] = UNREACHABLE  # in place: no second float64 array
-    return d.astype(np.int32)
+    """BFS hop counts from each source to every vertex, an int32 array with
+    one row per source; UNREACHABLE (-1) marks vertices in another component.
+    Blocks of rows run level by level: the unvisited neighbour cells of the
+    frontier get the next depth, and the cells holding it are the next one."""
+    csr = _csr(g)
+    n = g.n_vertices
+    sources = np.asarray(sources, dtype=np.intp)
+    dist = np.full((sources.size, n), UNREACHABLE, dtype=np.int32)
+    block = max(1, _BFS_CELLS // n)
+    for lo in range(0, sources.size, block):
+        cells = dist[lo:lo + block].reshape(-1)  # a view: writes land in dist
+        front = np.arange(0, cells.size, n) + sources[lo:lo + block]
+        depth = cells[front] = 0
+        while front.size:
+            cand, _ = _expand(csr, front)
+            depth += 1
+            cells[cand.compress(cells.take(cand) == UNREACHABLE)] = depth
+            front = np.flatnonzero(cells == depth)
+    return dist
 
 
 def all_pairs_hop_distances(g: Graph) -> np.ndarray:

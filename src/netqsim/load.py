@@ -3,8 +3,9 @@ fraction of geodesics between them passing through each vertex.
 
 `compute_load` is the production path: Brandes' per-source BFS plus
 reverse dependency accumulation, O(N*M) overall, vectorised with numpy over
-blocks of sources. It is bit-identical to the sequential per-source loop,
-which the tests keep as their reference. The same BFS visits every hop
+blocks of sources, each level listed by `graphs._expand` as in
+`graphs._hop_distances`. It is bit-identical to the sequential per-source
+loop, which the tests keep as their reference. The same BFS visits every hop
 distance, so `load_and_cpl` also returns the characteristic path length from
 that one pass, equal to `characteristic_path_length` of the dense distance
 matrix without building it. The tests cross-check both against independent
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, NoReachablePairs, _csr
+from .graphs import Graph, NoReachablePairs, _csr, _expand
 
 # Cells (source, vertex) per block of compute_load: small enough that the
 # block's state stays in cache, large enough to amortise the per-level calls.
@@ -69,22 +70,6 @@ def load_and_cpl(g: Graph) -> tuple[np.ndarray, float]:
     if pairs <= 0:
         raise NoReachablePairs("no reachable ordered pair s != t")
     return load, hops / pairs
-
-
-def _expand(csr, front: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every (frontier cell, neighbour) pair of a BFS level, in frontier
-    order, then adjacency order: the neighbour cells (a cell of source row
-    r and vertex v is r * n + v) and the frontier index of each."""
-    deg, indptr, indices = csr
-    front_v = front % deg.size
-    cnt = deg.take(front_v)
-    ends = np.cumsum(cnt)
-    seg = np.repeat(np.arange(cnt.size), cnt)
-    cand = (indptr.take(front_v) - ends + cnt).take(seg)
-    cand += np.arange(int(ends[-1]))
-    cand = indices.take(cand)
-    cand += (front - front_v).take(seg)
-    return cand, seg
 
 
 def _brandes(g: Graph) -> tuple[np.ndarray, np.ndarray, int]:

@@ -2,12 +2,16 @@ import ast
 import importlib.util
 import inspect
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import netqsim.graphs
+import netqsim.sim
 from netqsim import NoConvergence, read_bit_trace, read_edge_list
 from netqsim.cli import (
     FIG12_COLUMNS,
@@ -57,6 +61,26 @@ def test_unknown_key_reports_line_number():
         parse_plan("n = 100\nbogus = 3\n")
     assert exc.value.lineno == 2
     assert "bogus" in str(exc.value)
+
+
+def test_repeated_key_names_both_lines():
+    with pytest.raises(ParseError) as exc:
+        parse_plan("n = 40\nseeds = 1\nn = 60\n")
+    assert exc.value.lineno == 3
+    assert str(exc.value) == "line 3: key 'n' already set on line 1"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("n = 30\nseeds = 1\nfoo = 2\n", "line 3: unknown key 'foo'"),
+    ("n = 40\nseeds = 1\nn = 60\n", "line 3: key 'n' already set on line 1"),
+])
+def test_sweep_config_errors_name_the_file(text, message, tmp_path, capsys):
+    cfg = tmp_path / "plan.txt"
+    cfg.write_text(text)
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--kind", "fig12", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}, {message}\n"
+    assert not out.exists()
 
 
 def test_malformed_line_is_parse_error():
@@ -139,10 +163,10 @@ def test_emit_csv_round_trip(tmp_path):
 
 def test_fig12_golden_csv(tmp_path, monkeypatch):
     def no_apsp(*args, **kwargs):
-        raise AssertionError("fig12 built the dense distance matrix")
+        raise AssertionError("fig12 built hop-distance rows")
 
     # cpl and load come from one BFS pass
-    monkeypatch.setattr(netqsim.graphs, "shortest_path", no_apsp)
+    monkeypatch.setattr(netqsim.graphs, "_hop_distances", no_apsp)
     plan = ExperimentPlan(n_vertices=30, avg_degree=2.0, alphas=[0.0, 1.0], seeds=[1, 2])
     rows, avg, failures = run_fig12_sweep(plan)
     assert failures == []
@@ -251,6 +275,8 @@ def test_traffic_flag_conflicts(capsys):
     (["--bits", "0", "--out", "t.txt"], "--bits: must be >= 1, got 0"),
     (["--bits", "-5"], "--bits: must be >= 1, got -5"),
     (["--out", "t.txt"], "--out requires --bits"),
+    (["--bits", "10"], "--bits requires --out or --hurst"),
+    (["--bits", "10", "--estimate-rate"], "--bits requires --out or --hurst"),
 ])
 def test_traffic_with_no_bits_to_draw_names_the_flag(flags, message, tmp_path, monkeypatch,
                                                      capsys):
@@ -258,6 +284,17 @@ def test_traffic_with_no_bits_to_draw_names_the_flag(flags, message, tmp_path, m
     assert main(["traffic", "--d", "0.5", *flags]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "t.txt").exists()
+
+
+def test_traffic_bits_with_no_use_fails_before_calibrating(monkeypatch, capsys):
+    import netqsim.cli as cli
+
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibrated d for bits that nothing uses")
+
+    monkeypatch.setattr(cli, "calibrate_d", no_calibration)
+    assert main(["traffic", "--target-lambda", "0.2", "--bits", "10"]) == 1
+    assert capsys.readouterr().err == "error: --bits requires --out or --hurst\n"
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -422,16 +459,15 @@ def test_progress_once_per_alpha_seed(kind, sweep, monkeypatch):
 
 
 def test_fig34_builds_no_distance_matrix(monkeypatch):
-    shortest_path = netqsim.graphs.shortest_path
+    hop_distances = netqsim.sim._hop_distances  # sim binds the name at import
     rows_asked = []
 
-    def host_rows_only(adjacency, *args, indices=None, **kwargs):
-        assert indices is not None, "fig34 built the dense distance matrix"
-        rows_asked.append((len(indices), adjacency.shape[0]))
-        return shortest_path(adjacency, *args, indices=indices, **kwargs)
+    def host_rows_only(g, sources):
+        rows_asked.append((len(sources), g.n_vertices))
+        return hop_distances(g, sources)
 
     # the simulator routes by one BFS row per host, never one per vertex
-    monkeypatch.setattr(netqsim.graphs, "shortest_path", host_rows_only)
+    monkeypatch.setattr(netqsim.sim, "_hop_distances", host_rows_only)
     plan = ExperimentPlan(
         n_vertices=30, avg_degree=2.0, alphas=[0.0, 1.0], lambdas=[0.1, 0.2],
         seeds=[0, 1], warmup_steps=20, measure_steps=100,
@@ -496,6 +532,19 @@ def test_public_names_are_pinned():
         "load_and_cpl", "load_stats", "measure_load_proxy", "read_bit_trace",
         "read_edge_list", "run", "write_bit_trace", "write_edge_list", "write_load_csv",
     ]
+
+
+def test_package_imports_no_scipy():
+    # numpy is the package's only dependency; scipy is a test extra
+    src = Path(netqsim.__file__).resolve().parent.parent
+    code = (
+        "import sys, netqsim.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_module_layering_is_pinned():

@@ -8,6 +8,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+import netqsim.graphs
 import netqsim.sim
 from netqsim import (
     ErramilliParams,
@@ -70,15 +71,16 @@ def test_cpl_from_one_pass_matches_dense_oracle(g):
 
 
 @settings(max_examples=200, deadline=None)
-@given(g=small_graphs(), data=st.data())
-def test_hop_distances_match_dense_oracle(g, data):
+@given(g=small_graphs(), data=st.data(), cells=st.integers(1, 200))
+def test_hop_distances_match_dense_oracle(g, data, cells):
     sources = data.draw(st.lists(st.integers(0, g.n_vertices - 1), min_size=1))
-    assert np.array_equal(_hop_distances(g, sources), floyd_warshall(g)[sources])
+    with mock.patch.object(netqsim.graphs, "_BFS_CELLS", cells):  # rows a block: 1 to 200 // n
+        dist = _hop_distances(g, sources)
+    assert dist.dtype == np.int32
+    assert np.array_equal(dist, floyd_warshall(g)[sources])
 
 
-@settings(max_examples=200, deadline=None)
-@given(g=small_graphs())
-def test_giant_component_is_the_first_largest(g):
+def assert_giant_is_the_first_largest(g: Graph) -> None:
     uf = UnionFind(g.n_vertices)
     for u, v in g.edges():
         uf.union(u, v)
@@ -89,6 +91,33 @@ def test_giant_component_is_the_first_largest(g):
     gc, remap = giant_component(g)
     assert list(remap) == best and list(remap.values()) == list(range(len(best)))
     assert gc.edges() == [(remap[u], remap[v]) for u, v in g.edges() if u in remap]
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=small_graphs())
+def test_giant_component_is_the_first_largest(g):
+    assert_giant_is_the_first_largest(g)
+
+
+@st.composite
+def shuffled_forests(draw) -> Graph:
+    """Up to 400 vertices: each vertex after the first joins its predecessor
+    (mostly, so long paths form), an earlier vertex, or nothing; then the
+    labels are shuffled, so that hooking needs many rounds."""
+    n = draw(st.integers(1, 400))
+    edges = []
+    for v in range(1, n):
+        kind = draw(st.sampled_from(["path"] * 6 + ["tree", "cut"]))
+        if kind != "cut":
+            edges.append((v - 1 if kind == "path" else draw(st.integers(0, v - 1)), v))
+    label = draw(st.permutations(range(n)))
+    return Graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=shuffled_forests())
+def test_giant_component_of_long_paths_and_forests(g):
+    assert_giant_is_the_first_largest(g)
 
 
 @st.composite
