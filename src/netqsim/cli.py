@@ -20,7 +20,7 @@ from .graphs import (
     write_edge_list,
 )
 from .load import compute_load, load_and_cpl, load_stats, write_load_csv
-from .sim import SimConfig, SimMetrics, run as run_sim
+from .sim import SimConfig, SimMetrics, _Shared, run as run_sim
 from .traffic import (
     ErramilliParams,
     ErramilliSource,
@@ -252,7 +252,13 @@ def run_fig34_sweep(
     plan: ExperimentPlan, progress=None
 ) -> tuple[list[dict], list[dict], list[dict]]:
     """Throughput and delivery time against the generation rate, per
-    topology: one simulation per (alpha, seed, lambda), see `_sweep`."""
+    topology: one simulation per (alpha, seed, lambda), see `_sweep`.
+
+    The runs share one `_Shared` store: each host's source stream is drawn
+    once per (seed, lambda) and replayed at every alpha, and the hosts and
+    routes of an (alpha, seed) are built once for all its lambdas.
+    """
+    shared = _Shared()
 
     @functools.cache
     def calibrated(lam: float):
@@ -277,7 +283,7 @@ def run_fig34_sweep(
             measure_steps=plan.measure_steps,
             seed=seed,
         )
-        return _metrics_columns(run_sim(config))
+        return _metrics_columns(run_sim(config, shared))
 
     parts = [{"lambda": lam} for lam in plan.lambdas]
     return _sweep(plan, "fig34", FIG34_COLUMNS, parts, simulate, progress)

@@ -222,10 +222,18 @@ def giant_component(g: Graph) -> tuple[Graph, dict[int, int]]:
         np.minimum.at(label, lu[down], lv[down])  # hook
         while not np.array_equal(up := label.take(label), label):  # shortcut
             label = up
-    old = np.flatnonzero(label == np.bincount(label).argmax()).tolist()  # first largest
-    remap = {o: i for i, o in enumerate(old)}
-    edges = [(remap[u], remap[v]) for u in old for v in g.adjacency[u] if u < v]
-    return Graph(len(old), edges), remap
+    keep = label == np.bincount(label).argmax()  # the first largest
+    old = np.flatnonzero(keep)
+    # Relabelling keeps the order, so the kept adjacency lists, renumbered,
+    # are sorted and edge-valid as they stand.
+    new = np.cumsum(keep) - 1
+    flat = new.take(v.compress(keep.take(u))).tolist()
+    ends = np.cumsum(deg.take(old)).tolist()
+    sub = object.__new__(Graph)
+    sub.n_vertices = old.size
+    sub.adjacency = [flat[a:b] for a, b in zip([0, *ends], ends)]
+    old = old.tolist()
+    return sub, dict(zip(old, range(len(old))))
 
 
 def degree_histogram(g: Graph) -> dict[int, int]:

@@ -164,6 +164,72 @@ def _route_tables(
     return routes
 
 
+class _Stream:
+    """The bits of one host's source, drawn on demand and kept packed eight
+    to a byte (`np.packbits`); `source` stands just past the bits held."""
+
+    __slots__ = ("source", "packed", "size")
+
+    def __init__(self, source: ErramilliSource):
+        self.source = source
+        self.packed = bytearray()
+        self.size = 0
+
+    def read(self, start: int, count: int) -> np.ndarray:
+        """Bits start .. start + count - 1 (uint8). Those not held yet are
+        drawn, and stored only once drawn, so a run that raises leaves no
+        half-extended stream."""
+        end = start + count
+        if end > self.size:
+            new = self.source.bits(end - self.size)
+            whole, part = divmod(self.size, 8)
+            if part:  # repack the bits of the last, partial byte with the new ones
+                tail = np.frombuffer(self.packed[whole:], dtype=np.uint8)
+                new = np.concatenate((np.unpackbits(tail, count=part), new))
+            self.packed[whole:] = np.packbits(new).tobytes()
+            self.size = end
+        lo = start // 8
+        held = np.frombuffer(self.packed[lo : -(-end // 8)], dtype=np.uint8)
+        return np.unpackbits(held)[start - 8 * lo : end - 8 * lo]
+
+
+class _Shared:
+    """What the runs of one sweep share: source streams, and the layout
+    (sorted hosts and their route tables) of the last graph.
+
+    Host i's source in a run of `seed` is child 2 + i of SeedSequence(seed).
+    Its spawn key does not depend on the number of hosts, so runs of one
+    (traffic, seed) on different graphs replay the same first streams: each
+    is drawn once and held, packed, while the store lives. The layout is
+    kept for the last (graph, hosts) only, as the runs of one graph are
+    consecutive. A `SimState` without a store makes its own.
+    """
+
+    def __init__(self):
+        self._streams: dict[tuple[ErramilliParams, int, int], _Stream] = {}
+        self._layout = None
+
+    def stream(self, traffic: ErramilliParams, seed: int, i: int) -> _Stream:
+        key = (traffic, seed, i)
+        if key not in self._streams:
+            child = np.random.SeedSequence(seed, spawn_key=(2 + i,))
+            self._streams[key] = _Stream(ErramilliSource(traffic, seed=child))
+        return self._streams[key]
+
+    def layout(self, graph: Graph, hosts: list[int]):
+        """(sorted hosts, their `_route_tables`); the hosts must reach each other."""
+        hosts = sorted(hosts)
+        last = self._layout
+        if last is None or last[0] is not graph or last[1] != hosts:
+            self._layout = None  # the old tables go before new ones are built
+            dist = _hop_distances(graph, hosts)  # row i: hop counts to hosts[i]
+            for h in hosts:  # reachability is transitive: one row decides every pair
+                if dist[0, h] == UNREACHABLE:
+                    raise ValueError(f"hosts {hosts[0]} and {h} are in different components")
+            last = self._layout = (graph, hosts, _route_tables(graph, hosts, dist))
+        return last[1:]
+
+
 class SimState:
     """Owned mutable state of one simulation run.
 
@@ -182,9 +248,12 @@ class SimState:
     runs bit-reproducible.
 
     Routes are tabulated from one BFS per host, `_routes[dst][v]` for every
-    host `dst`; hosts must reach each other. A queued packet is a tuple (id,
-    src, dst, created_at). Under `check_invariants` only, `packets` logs a
-    `Packet` per id and each queue's pops are checked against its arrival order.
+    host `dst`; hosts must reach each other. Source bits and routes come
+    from a `_Shared` store, the state's own unless `_shared` is given;
+    `sources` holds each host's source, just past the bits its stream holds.
+    A queued packet is a tuple (id, src, dst, created_at). Under
+    `check_invariants` only, `packets` logs a `Packet` per id and each
+    queue's pops are checked against its arrival order.
 
     Counters are totals since clock 0, `delay_total` the delivery steps summed
     over delivered packets; `run` takes its window as a difference of totals.
@@ -197,6 +266,7 @@ class SimState:
         traffic: ErramilliParams | None = None,
         seed: int = 0,
         check_invariants: bool = False,
+        _shared: _Shared | None = None,
     ):
         _check_nonneg_int("seed", seed)
         n = graph.n_vertices
@@ -204,11 +274,8 @@ class SimState:
             raise TooFewHosts("need at least 2 hosts")
         if len(set(hosts)) != len(hosts) or not all(0 <= h < n for h in hosts):
             raise ValueError("hosts must be distinct vertex indices")
-        hosts = sorted(hosts)
-        dist = _hop_distances(graph, hosts)  # row i: hop counts to hosts[i]
-        for h in hosts:  # reachability is transitive: one row decides every pair
-            if dist[0, h] == UNREACHABLE:
-                raise ValueError(f"hosts {hosts[0]} and {h} are in different components")
+        shared = _Shared() if _shared is None else _shared
+        hosts, self._routes = shared.layout(graph, hosts)
 
         self.graph = graph
         self.hosts = hosts
@@ -216,15 +283,14 @@ class SimState:
         self._adj = graph.adjacency
         self._check = check_invariants
 
-        self._routes = _route_tables(graph, hosts, dist)
-
-        ss = np.random.SeedSequence(seed)
-        dest_ss, tie_ss, *orbit_ss = ss.spawn(2 + (len(self.hosts) if traffic else 0))
+        dest_ss, tie_ss = np.random.SeedSequence(seed).spawn(2)
         self._dest_rng = random.Random(int(dest_ss.generate_state(1)[0]))
         self._tie_rng = random.Random(int(tie_ss.generate_state(1)[0]))
-        self.sources: dict[int, ErramilliSource] = {  # no orbit seeds without traffic
-            h: ErramilliSource(traffic, seed=child)
-            for h, child in zip(self.hosts, orbit_ss)
+        self._streams = (  # no sources without traffic
+            [shared.stream(traffic, seed, i) for i in range(len(hosts))] if traffic else []
+        )
+        self.sources: dict[int, ErramilliSource] = {
+            h: stream.source for h, stream in zip(hosts, self._streams)
         }
 
         self._queues: list[deque[tuple[int, int, int, int]]] = [deque() for _ in range(n)]
@@ -233,7 +299,9 @@ class SimState:
         self._active: set[int] = set()
 
         # Under checking: every packet by id, queue ids in arrival order, hop counts.
-        self._host_dist = dict(zip(hosts, dist)) if check_invariants else None
+        self._host_dist = (
+            dict(zip(hosts, _hop_distances(graph, hosts))) if check_invariants else None
+        )
         self.packets: list[Packet] | None = [] if check_invariants else None
         self._arrivals = [deque() for _ in range(n)] if check_invariants else None
         self.clock = 0
@@ -284,16 +352,16 @@ class SimState:
     def _run_block(self, count: int) -> None:
         """Advance `count` time steps.
 
-        Each source's bits for the block are drawn up front. A source owns
-        its RNG, so its stream is the same as one bit per step, and hosts
-        still spawn in ascending order within a step. The counters live in
-        locals for the block and are stored back when it ends or raises.
+        Each host's bits for the block are read up front, those of steps
+        clock .. clock + count - 1 of its stream, and hosts still spawn in
+        ascending order within a step. The counters live in locals for the
+        block and are stored back when it ends or raises.
         """
         hosts = self.hosts
         generated_at = self._generated_at
         spawners: list[list[int]] = [[] for _ in range(count)]
-        for i, (h, src) in enumerate(self.sources.items()):  # keyed in host order
-            on = np.flatnonzero(src.bits(count)).tolist()
+        for i, (h, stream) in enumerate(zip(hosts, self._streams)):
+            on = np.flatnonzero(stream.read(self.clock, count)).tolist()
             generated_at[h] += len(on)
             for t in on:
                 spawners[t].append(i)
@@ -395,12 +463,13 @@ class SimState:
             raise InvariantViolation("packet conservation violated")
 
 
-def run(config: SimConfig) -> SimMetrics:
+def run(config: SimConfig, _shared: _Shared | None = None) -> SimMetrics:
     """Execute warmup then measurement; every host must reach every other.
 
     Warmup steps feed the queues; the window counts are the run totals after
     the measurement steps minus those after the warmup, so the throughput is
-    the packets delivered inside the window. Deterministic per (config, seed).
+    the packets delivered inside the window. Deterministic per (config, seed),
+    with or without the store `_shared` of a sweep's runs.
     """
     g = config.graph
     state = SimState(
@@ -409,6 +478,7 @@ def run(config: SimConfig) -> SimMetrics:
         traffic=config.traffic,
         seed=config.seed,
         check_invariants=config.check_invariants,
+        _shared=_shared,
     )
     state.run_steps(config.warmup_steps)
     warm = (state.generated_total, state.delivered_total, state.delay_total)

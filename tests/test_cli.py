@@ -354,10 +354,10 @@ def test_fig34_sweep_isolates_failing_cells(monkeypatch):
 
     real_run = cli.run_sim
 
-    def flaky_run(config):
+    def flaky_run(config, *args, **kwargs):
         if config.seed == 1:
             raise RuntimeError("boom")
-        return real_run(config)
+        return real_run(config, *args, **kwargs)
 
     monkeypatch.setattr(cli, "run_sim", flaky_run)
     plan = ExperimentPlan(
@@ -474,7 +474,119 @@ def test_fig34_builds_no_distance_matrix(monkeypatch):
     )
     rows, _, failures = run_fig34_sweep(plan)
     assert failures == [] and len(rows) == 8
-    assert len(rows_asked) == 8 and all(h < n for h, n in rows_asked)
+    # once per (alpha, seed): its lambdas share the hosts and routes
+    assert len(rows_asked) == 4 and all(h < n for h, n in rows_asked)
+
+
+def _capture_runs(monkeypatch, calls: list):
+    """Wrap `cli.run_sim` so that `calls` gets the arguments of every call."""
+    import netqsim.cli as cli
+
+    real_run = cli.run_sim
+
+    def capture(config, *args, **kwargs):
+        calls.append((config, args))
+        return real_run(config, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_sim", capture)
+
+
+def test_fig34_sweep_rows_equal_runs_without_the_store(monkeypatch):
+    import netqsim.cli as cli
+
+    monkeypatch.setattr(cli, "calibrate_d", lambda m1, m2, lam, **kw: {0.1: 0.85, 0.2: 0.75}[lam])
+    calls = []
+    _capture_runs(monkeypatch, calls)
+    real_steps = netqsim.sim.SimState.run_steps
+    steps_calls = []
+
+    def run_steps(state, count):
+        steps_calls.append(count)
+        if len(steps_calls) == 4:  # the second cell fails partway through its window
+            real_steps(state, count // 2)
+            raise RuntimeError("boom")
+        return real_steps(state, count)
+
+    monkeypatch.setattr(netqsim.sim.SimState, "run_steps", run_steps)
+    # the later alpha has more hosts, so its runs replay some streams and
+    # draw others, among them the streams the failed cell left part-drawn
+    plan = ExperimentPlan(
+        n_vertices=80, avg_degree=3.0, alphas=[1.0, 0.0], lambdas=[0.1, 0.2],
+        seeds=[0, 1], warmup_steps=200, measure_steps=2400,
+    )
+    rows, _, failures = run_fig34_sweep(plan)
+    monkeypatch.setattr(netqsim.sim.SimState, "run_steps", real_steps)
+    assert failures == [{"alpha": 1.0, "lambda": 0.2, "seed": 0, "error": "RuntimeError('boom')"}]
+    del calls[1]
+    assert len(rows) == len(calls) == 7
+    hosts = {}  # per graph, in sweep order
+    for config, _ in calls:
+        hosts[id(config.graph)] = len(netqsim.sim.assign_hosts(config.graph, config.rho, config.seed))
+    assert list(hosts.values()) == [11, 10, 12, 12]
+    for row, (config, _) in zip(rows, calls):
+        assert row == {**row, **cli._metrics_columns(netqsim.sim.run(config))}
+
+
+def test_fig34_sweep_draws_each_stream_and_route_once(monkeypatch):
+    import netqsim.cli as cli
+    from netqsim.sim import assign_hosts
+    from netqsim.traffic import _BURN_IN, ErramilliSource
+
+    map_steps = [0, 0]  # all, in calibrate_d
+
+    real_orbit = ErramilliSource._orbit
+
+    def orbit(source, count):
+        map_steps[0] += count
+        return real_orbit(source, count)
+
+    real_calibrate = cli.calibrate_d
+
+    def calibrate(*args, **kwargs):
+        before = map_steps[0]
+        try:
+            return real_calibrate(*args, **kwargs)
+        finally:
+            map_steps[1] += map_steps[0] - before
+
+    real_routes = netqsim.sim._route_tables
+    route_builds = [0]
+
+    def routes(*args):
+        route_builds[0] += 1
+        return real_routes(*args)
+
+    monkeypatch.setattr(ErramilliSource, "_orbit", orbit)
+    monkeypatch.setattr(cli, "calibrate_d", calibrate)
+    monkeypatch.setattr(netqsim.sim, "_route_tables", routes)
+    calls = []
+    _capture_runs(monkeypatch, calls)
+    plan = ExperimentPlan(
+        n_vertices=80, avg_degree=3.0, alphas=[0.0, 0.5, 1.0], lambdas=[0.1, 0.2],
+        seeds=[0, 1], warmup_steps=100, measure_steps=1100, calib_tol=0.05,
+    )
+    rows, _, failures = run_fig34_sweep(plan)
+    assert failures == [] and len(rows) == len(calls) == 12
+    stores = {id(args[0]) for _, args in calls}
+    assert len(stores) == 1  # one store per sweep
+    store = calls[0][1][0]
+    max_hosts = {}  # (seed, lambda) -> max H over the alphas
+    for config, _ in calls:
+        key = (config.seed, config.traffic)
+        h = len(assign_hosts(config.graph, config.rho, config.seed))
+        max_hosts[key] = max(max_hosts.get(key, 0), h)
+    steps = plan.warmup_steps + plan.measure_steps
+    assert map_steps[1] > 0
+    assert map_steps[0] == map_steps[1] + sum(max_hosts.values()) * (_BURN_IN + steps)
+    assert route_builds[0] == len(plan.alphas) * len(plan.seeds)
+    held = sum(len(stream.packed) for stream in store._streams.values())
+    assert held == sum(max_hosts.values()) * math.ceil(steps / 8)
+    assert held <= len(plan.seeds) * len(plan.lambdas) * max(max_hosts.values()) * math.ceil(steps / 8)
+    # a second sweep has its own store and draws every stream again
+    map_steps[:] = [0, 0]
+    run_fig34_sweep(plan)
+    assert map_steps[0] == map_steps[1] + sum(max_hosts.values()) * (_BURN_IN + steps)
+    assert calls[12][1][0] is not store
 
 
 def test_sweep_with_every_cell_failed_prints_each_failure(tmp_path, capsys):

@@ -24,7 +24,8 @@ from netqsim import (
     run,
 )
 from netqsim.graphs import _hop_distances
-from netqsim.sim import SimState
+from netqsim.sim import _BLOCK_STEPS, SimState, _Shared
+from netqsim.traffic import ErramilliSource
 from _helpers import (
     UnionFind, brute_force_load, floyd_warshall, reference_load, reference_routes,
 )
@@ -188,3 +189,52 @@ def test_checking_does_not_perturb_the_run(g, data, d, rho, seed):
             for check in (False, True)
         ]
         assert repr(metrics[0]) == repr(metrics[1])
+
+
+@st.composite
+def stream_runs(draw) -> tuple[int, list[int]]:
+    """A run's host count and its `run_steps` counts, up to 2.5 blocks in all."""
+    hosts = draw(st.integers(1, 4))
+    counts = draw(st.lists(st.integers(0, _BLOCK_STEPS + 300), min_size=1, max_size=3))
+    return hosts, counts
+
+
+@pytest.mark.parametrize("short_first", [True, False])
+@settings(max_examples=25, deadline=None)
+@given(
+    m1=st.floats(1.5, 2.0), m2=st.floats(1.5, 2.0), d=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**16), first=st.integers(0, 300),
+    runs=st.lists(stream_runs(), min_size=2, max_size=2),
+)
+def test_replayed_streams_equal_fresh_sources(short_first, m1, m2, d, seed, first, runs):
+    # Two runs of one seed, on different host counts, read one store block
+    # by block as run_steps does: the shorter run first, or the longer one.
+    # Host i's reads equal the bits of child 2 + i of the seed's spawn, and
+    # its stored source ends where a fresh one does after as many bits.
+    params = ErramilliParams(m1, m2, d)
+    runs.sort(key=lambda r: (r[0], sum(r[1])), reverse=not short_first)
+    shared = _Shared()
+    reads = {}
+    for hosts, counts in runs:
+        clock = 0
+        for count in counts:
+            for start in range(0, count, _BLOCK_STEPS):
+                k = min(_BLOCK_STEPS, count - start)
+                for i in range(first, first + hosts):
+                    got = shared.stream(params, seed, i).read(clock, k)
+                    reads.setdefault(i, []).append((clock, got))
+                clock += k
+    n_hosts = first + max(h for h, _ in runs)
+    children = np.random.SeedSequence(seed).spawn(2 + n_hosts)
+    nbytes = 0
+    for i, got in reads.items():
+        stream = shared.stream(params, seed, i)
+        fresh = ErramilliSource(params, seed=children[2 + i])
+        want = fresh.bits(stream.size)
+        assert stream.size == max(clock + bits.size for clock, bits in got)
+        for clock, bits in got:
+            assert bits.dtype == np.uint8
+            assert np.array_equal(bits, want[clock:clock + bits.size])
+        assert stream.source.x == fresh.x
+        nbytes += math.ceil(stream.size / 8)
+    assert sum(len(stream.packed) for stream in shared._streams.values()) == nbytes

@@ -23,7 +23,7 @@ from netqsim import (
     measure_load_proxy,
     run,
 )
-from netqsim.sim import InvariantViolation, SimState
+from netqsim.sim import InvariantViolation, SimState, _Shared
 from _helpers import complete_graph, cycle_graph, path_graph
 
 
@@ -110,6 +110,20 @@ def test_route_tables_hold_the_closest_neighbours(alpha):
             expected = tuple(k for k, u in enumerate(nbrs) if dist[u, dst] == best)
             assert st._routes[dst][v], (dst, v)
             assert st._routes[dst][v] == expected, (dst, v)
+
+
+def test_shared_store_builds_routes_per_graph_and_hosts():
+    # a store keeps the routes of the last (graph, hosts) it was asked for
+    graphs = [
+        giant_component(generate_static_model(GenParams.from_avg_degree(60, 3.0, a, 2)))[0]
+        for a in (0.0, 1.0)
+    ]
+    shared = _Shared()
+    for g, hosts in [(graphs[0], [0, 5, 9]), (graphs[0], [9, 0, 5]), (graphs[0], [0, 5, 7]),
+                     (graphs[1], [0, 5, 7]), (graphs[0], [0, 5, 7])]:
+        st = SimState(g, hosts, _shared=shared)
+        assert st.hosts == sorted(hosts)
+        assert st._routes == SimState(g, hosts)._routes
 
 
 # -- stepping -------------------------------------------------------------------------
