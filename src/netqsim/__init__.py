@@ -8,14 +8,11 @@ CSV datasets.
 """
 
 from .graphs import (
-    UNREACHABLE,
     AttemptBudgetExceeded,
     GenParams,
     Graph,
     InsufficientTail,
     NoReachablePairs,
-    all_pairs_hop_distances,
-    characteristic_path_length,
     degree_histogram,
     fit_powerlaw_exponent,
     generate_static_model,

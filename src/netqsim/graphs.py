@@ -36,7 +36,7 @@ class InsufficientTail(ValueError):
 
 
 class NoReachablePairs(ValueError):
-    """Distance matrix contains no reachable ordered pair."""
+    """The graph has no ordered pair s != t with a path from s to t."""
 
 
 @dataclass(frozen=True)
@@ -223,16 +223,10 @@ def giant_component(g: Graph) -> tuple[Graph, dict[int, int]]:
         while not np.array_equal(up := label.take(label), label):  # shortcut
             label = up
     keep = label == np.bincount(label).argmax()  # the first largest
-    old = np.flatnonzero(keep)
-    # Relabelling keeps the order, so the kept adjacency lists, renumbered,
-    # are sorted and edge-valid as they stand.
     new = np.cumsum(keep) - 1
-    flat = new.take(v.compress(keep.take(u))).tolist()
-    ends = np.cumsum(deg.take(old)).tolist()
-    sub = object.__new__(Graph)
-    sub.n_vertices = old.size
-    sub.adjacency = [flat[a:b] for a, b in zip([0, *ends], ends)]
-    old = old.tolist()
+    edge = keep.take(u) & (u < v)  # each kept edge once
+    sub = Graph(int(new[-1]) + 1, zip(new.take(u[edge]).tolist(), new.take(v[edge]).tolist()))
+    old = np.flatnonzero(keep).tolist()
     return sub, dict(zip(old, range(len(old))))
 
 

@@ -10,7 +10,6 @@ rising delivery times; nothing is ever dropped.
 from __future__ import annotations
 
 import math
-import numbers
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ from itertools import chain
 import numpy as np
 
 from .graphs import UNREACHABLE, Graph, _csr, _hop_distances
-from .traffic import ErramilliParams, ErramilliSource
+from .traffic import ErramilliParams, ErramilliSource, _check_int
 
 
 # Steps per block of source bits in SimState.run_steps; bounds the spawn
@@ -37,11 +36,6 @@ class TooFewHosts(ValueError):
 class InvariantViolation(AssertionError):
     """A per-step check of `check_invariants=True` failed. Raised, not
     asserted, so that it also runs under `python -O`."""
-
-
-def _check_nonneg_int(name: str, value) -> None:
-    if not isinstance(value, numbers.Integral) or value < 0:
-        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 @dataclass(slots=True)
@@ -68,11 +62,9 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.rho <= 1.0:
             raise ValueError("rho must lie in (0, 1]")
-        _check_nonneg_int("warmup_steps", self.warmup_steps)
-        _check_nonneg_int("measure_steps", self.measure_steps)
-        _check_nonneg_int("seed", self.seed)
-        if self.measure_steps < 1:
-            raise ValueError("need measure_steps >= 1")
+        _check_int("warmup_steps", self.warmup_steps, 0)
+        _check_int("measure_steps", self.measure_steps, 1)
+        _check_int("seed", self.seed, 0)
 
 
 @dataclass
@@ -95,7 +87,7 @@ def assign_hosts(g: Graph, rho: float, seed: int) -> list[int]:
     """Uniformly random host subset of size round(rho * N), sorted."""
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must lie in (0, 1]")
-    _check_nonneg_int("seed", seed)
+    _check_int("seed", seed, 0)
     n = g.n_vertices
     count = int(math.floor(rho * n + 0.5))
     if count < 2:
@@ -164,57 +156,42 @@ def _route_tables(
     return routes
 
 
-class _Stream:
-    """The bits of one host's source, drawn on demand and kept packed eight
-    to a byte (`np.packbits`); `source` stands just past the bits held."""
-
-    __slots__ = ("source", "packed", "size")
-
-    def __init__(self, source: ErramilliSource):
-        self.source = source
-        self.packed = bytearray()
-        self.size = 0
-
-    def read(self, start: int, count: int) -> np.ndarray:
-        """Bits start .. start + count - 1 (uint8). Those not held yet are
-        drawn, and stored only once drawn, so a run that raises leaves no
-        half-extended stream."""
-        end = start + count
-        if end > self.size:
-            new = self.source.bits(end - self.size)
-            whole, part = divmod(self.size, 8)
-            if part:  # repack the bits of the last, partial byte with the new ones
-                tail = np.frombuffer(self.packed[whole:], dtype=np.uint8)
-                new = np.concatenate((np.unpackbits(tail, count=part), new))
-            self.packed[whole:] = np.packbits(new).tobytes()
-            self.size = end
-        lo = start // 8
-        held = np.frombuffer(self.packed[lo : -(-end // 8)], dtype=np.uint8)
-        return np.unpackbits(held)[start - 8 * lo : end - 8 * lo]
-
-
 class _Shared:
     """What the runs of one sweep share: source streams, and the layout
     (sorted hosts and their route tables) of the last graph.
 
-    Host i's source in a run of `seed` is child 2 + i of SeedSequence(seed).
-    Its spawn key does not depend on the number of hosts, so runs of one
-    (traffic, seed) on different graphs replay the same first streams: each
-    is drawn once and held, packed, while the store lives. The layout is
-    kept for the last (graph, hosts) only, as the runs of one graph are
-    consecutive. A `SimState` without a store makes its own.
+    Stream (traffic, seed, i) is host i's source in a run of `seed`, child
+    2 + i of SeedSequence(seed). Its spawn key does not depend on the number
+    of hosts, so runs of one (traffic, seed) on different graphs replay the
+    same first streams: each is drawn once and held, packed eight bits to a
+    byte (`np.packbits`) next to its source, while the store lives. The
+    layout is kept for the last (graph, hosts) only, as the runs of one
+    graph are consecutive. A `SimState` without a store makes its own.
     """
 
     def __init__(self):
-        self._streams: dict[tuple[ErramilliParams, int, int], _Stream] = {}
+        # (traffic, seed, i) -> (source, packed bits)
+        self._streams: dict[tuple, tuple[ErramilliSource, bytearray]] = {}
         self._layout = None
 
-    def stream(self, traffic: ErramilliParams, seed: int, i: int) -> _Stream:
-        key = (traffic, seed, i)
+    def bits(self, key: tuple, start: int, count: int) -> np.ndarray:
+        """Bits start .. start + count - 1 (uint8) of stream `key`. Missing
+        bytes are drawn whole, and stored only once drawn, so a run that
+        raises leaves no half-extended stream; the source stands just past
+        the bits held."""
         if key not in self._streams:
+            traffic, seed, i = key
             child = np.random.SeedSequence(seed, spawn_key=(2 + i,))
-            self._streams[key] = _Stream(ErramilliSource(traffic, seed=child))
-        return self._streams[key]
+            self._streams[key] = (ErramilliSource(traffic, seed=child), bytearray())
+        source, packed = self._streams[key]
+        end = start + count
+        missing = -(-end // 8) - len(packed)
+        if missing > 0:
+            packed += np.packbits(source.bits(8 * missing)).tobytes()
+        lo = start // 8
+        # a live frombuffer view would make the next `packed +=` raise
+        held = np.unpackbits(np.frombuffer(packed, dtype=np.uint8)[lo:], count=end - 8 * lo)
+        return held[start - 8 * lo:]
 
     def layout(self, graph: Graph, hosts: list[int]):
         """(sorted hosts, their `_route_tables`); the hosts must reach each other."""
@@ -249,8 +226,7 @@ class SimState:
 
     Routes are tabulated from one BFS per host, `_routes[dst][v]` for every
     host `dst`; hosts must reach each other. Source bits and routes come
-    from a `_Shared` store, the state's own unless `_shared` is given;
-    `sources` holds each host's source, just past the bits its stream holds.
+    from a `_Shared` store, the state's own unless `_shared` is given.
     A queued packet is a tuple (id, src, dst, created_at). Under
     `check_invariants` only, `packets` logs a `Packet` per id and each
     queue's pops are checked against its arrival order.
@@ -268,7 +244,7 @@ class SimState:
         check_invariants: bool = False,
         _shared: _Shared | None = None,
     ):
-        _check_nonneg_int("seed", seed)
+        _check_int("seed", seed, 0)
         n = graph.n_vertices
         if len(hosts) < 2:
             raise TooFewHosts("need at least 2 hosts")
@@ -286,12 +262,8 @@ class SimState:
         dest_ss, tie_ss = np.random.SeedSequence(seed).spawn(2)
         self._dest_rng = random.Random(int(dest_ss.generate_state(1)[0]))
         self._tie_rng = random.Random(int(tie_ss.generate_state(1)[0]))
-        self._streams = (  # no sources without traffic
-            [shared.stream(traffic, seed, i) for i in range(len(hosts))] if traffic else []
-        )
-        self.sources: dict[int, ErramilliSource] = {
-            h: stream.source for h, stream in zip(hosts, self._streams)
-        }
+        self._shared = shared
+        self._keys = [(traffic, seed, i) for i in range(len(hosts))] if traffic else []
 
         self._queues: list[deque[tuple[int, int, int, int]]] = [deque() for _ in range(n)]
         self.link_counts: list[list[int]] = [[0] * len(nbrs) for nbrs in self._adj]
@@ -345,7 +317,7 @@ class SimState:
 
     def run_steps(self, count: int) -> None:
         """Advance `count` time steps, in blocks of at most _BLOCK_STEPS."""
-        _check_nonneg_int("count", count)
+        _check_int("count", count, 0)
         for start in range(0, count, _BLOCK_STEPS):
             self._run_block(min(_BLOCK_STEPS, count - start))
 
@@ -360,8 +332,8 @@ class SimState:
         hosts = self.hosts
         generated_at = self._generated_at
         spawners: list[list[int]] = [[] for _ in range(count)]
-        for i, (h, stream) in enumerate(zip(hosts, self._streams)):
-            on = np.flatnonzero(stream.read(self.clock, count)).tolist()
+        for i, (h, key) in enumerate(zip(hosts, self._keys)):
+            on = np.flatnonzero(self._shared.bits(key, self.clock, count)).tolist()
             generated_at[h] += len(on)
             for t in on:
                 spawners[t].append(i)

@@ -63,8 +63,7 @@ class ErramilliSource:
 
     def __init__(self, params: ErramilliParams, seed=None, burn_in: int = _BURN_IN):
         _check_seed(seed)
-        if burn_in < 0:
-            raise ValueError(f"burn_in must be >= 0, got {burn_in!r}")
+        _check_int("burn_in", burn_in, 0)
         self.params = params
         self.rng = np.random.default_rng(seed)
         x = self.rng.random()
@@ -87,8 +86,7 @@ class ErramilliSource:
         tests; numpy's vectorised power differs in the last bits, and the
         chaotic orbit amplifies that.
         """
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count!r}")
+        _check_int("count", count, 0)
         p = self.params
         d, m1, m2 = p.d, p.m1, p.m2
         omd = 1.0 - d
@@ -121,9 +119,15 @@ class ErramilliSource:
         return self._orbit(count).count(1)
 
 
+def _check_int(name: str, value, low: int) -> None:
+    if not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _check_seed(seed) -> None:
-    if isinstance(seed, numbers.Integral) and seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed!r}")
+    """A seed is None, a SeedSequence or an integer >= 0."""
+    if seed is not None and not isinstance(seed, np.random.SeedSequence):
+        _check_int("seed", seed, 0)
 
 
 def _rate_bounds(params: ErramilliParams, burn_in: int, samples: int, seed, n_orbits: int):
@@ -131,10 +135,8 @@ def _rate_bounds(params: ErramilliParams, burn_in: int, samples: int, seed, n_or
     _RATE_CHUNK steps the bounds (low, high) on its result: the On count so
     far, and that count plus every step still to run, each over all steps.
     The last pair is the rate twice."""
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples!r}")
-    if n_orbits < 1:
-        raise ValueError("n_orbits must be >= 1")
+    _check_int("samples", samples, 1)
+    _check_int("n_orbits", n_orbits, 1)
     _check_seed(seed)
     total = n_orbits * samples
     count = 0
@@ -188,8 +190,7 @@ def calibrate_d(
         raise ValueError("target_lambda must lie in (0, 1)")
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps!r}")
+    _check_int("max_steps", max_steps, 1)
     lo, hi = 1e-9, 1.0 - 1e-9
     for _ in range(max_steps):
         mid = 0.5 * (lo + hi)

@@ -10,9 +10,9 @@ from netqsim import (
     ErramilliSource,
     Graph,
     NoConvergence,
-    all_pairs_hop_distances,
     estimate_rate,
 )
+from netqsim.graphs import all_pairs_hop_distances
 from netqsim.traffic import _ENDPOINT_EPS
 
 

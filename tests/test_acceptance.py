@@ -16,7 +16,6 @@ from netqsim import (
     GenParams,
     Graph,
     SimConfig,
-    all_pairs_hop_distances,
     compute_load,
     default_block_sizes,
     degree_histogram,
@@ -28,6 +27,7 @@ from netqsim import (
     run,
 )
 from netqsim.cli import FIG34_COLUMNS, ExperimentPlan, emit_csv, run_fig34_sweep
+from netqsim.graphs import all_pairs_hop_distances
 from netqsim.sim import InvariantViolation, SimState
 from _helpers import (
     brute_force_load,

@@ -579,7 +579,7 @@ def test_fig34_sweep_draws_each_stream_and_route_once(monkeypatch):
     assert map_steps[1] > 0
     assert map_steps[0] == map_steps[1] + sum(max_hosts.values()) * (_BURN_IN + steps)
     assert route_builds[0] == len(plan.alphas) * len(plan.seeds)
-    held = sum(len(stream.packed) for stream in store._streams.values())
+    held = sum(len(packed) for _, packed in store._streams.values())
     assert held == sum(max_hosts.values()) * math.ceil(steps / 8)
     assert held <= len(plan.seeds) * len(plan.lambdas) * max(max_hosts.values()) * math.ceil(steps / 8)
     # a second sweep has its own store and draws every stream again
@@ -637,8 +637,7 @@ def test_public_names_are_pinned():
         "AttemptBudgetExceeded", "ErramilliParams", "ErramilliSource", "GenParams", "Graph",
         "InsufficientData", "InsufficientTail", "LoadStats", "NoConvergence",
         "NoReachablePairs", "Packet", "SimConfig", "SimMetrics", "SimState", "TooFewHosts",
-        "UNREACHABLE", "all_pairs_hop_distances", "assign_hosts", "calibrate_d",
-        "characteristic_path_length", "compute_load", "default_block_sizes",
+        "assign_hosts", "calibrate_d", "compute_load", "default_block_sizes",
         "degree_histogram", "estimate_rate", "fit_powerlaw_exponent",
         "generate_static_model", "giant_component", "hurst_aggregated_variance",
         "load_and_cpl", "load_stats", "measure_load_proxy", "read_bit_trace",

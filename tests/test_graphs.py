@@ -6,14 +6,11 @@ import numpy as np
 import pytest
 
 from netqsim import (
-    UNREACHABLE,
     AttemptBudgetExceeded,
     GenParams,
     Graph,
     InsufficientTail,
     NoReachablePairs,
-    all_pairs_hop_distances,
-    characteristic_path_length,
     degree_histogram,
     fit_powerlaw_exponent,
     generate_static_model,
@@ -21,6 +18,7 @@ from netqsim import (
     read_edge_list,
     write_edge_list,
 )
+from netqsim.graphs import UNREACHABLE, all_pairs_hop_distances, characteristic_path_length
 from _helpers import (
     UnionFind,
     complete_graph,

@@ -7,8 +7,6 @@ from netqsim import (
     GenParams,
     Graph,
     NoReachablePairs,
-    all_pairs_hop_distances,
-    characteristic_path_length,
     compute_load,
     generate_static_model,
     giant_component,
@@ -17,7 +15,7 @@ from netqsim import (
     write_load_csv,
 )
 from netqsim import load as load_module
-from netqsim.graphs import _hop_distances
+from netqsim.graphs import _hop_distances, all_pairs_hop_distances, characteristic_path_length
 from _helpers import (
     TooLarge,
     brute_force_load,

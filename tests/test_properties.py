@@ -15,15 +15,13 @@ from netqsim import (
     Graph,
     NoReachablePairs,
     SimConfig,
-    all_pairs_hop_distances,
-    characteristic_path_length,
     compute_load,
     giant_component,
     load_and_cpl,
     measure_load_proxy,
     run,
 )
-from netqsim.graphs import _hop_distances
+from netqsim.graphs import _hop_distances, all_pairs_hop_distances, characteristic_path_length
 from netqsim.sim import _BLOCK_STEPS, SimState, _Shared
 from netqsim.traffic import ErramilliSource
 from _helpers import (
@@ -209,8 +207,9 @@ def stream_runs(draw) -> tuple[int, list[int]]:
 def test_replayed_streams_equal_fresh_sources(short_first, m1, m2, d, seed, first, runs):
     # Two runs of one seed, on different host counts, read one store block
     # by block as run_steps does: the shorter run first, or the longer one.
-    # Host i's reads equal the bits of child 2 + i of the seed's spawn, and
-    # its stored source ends where a fresh one does after as many bits.
+    # Host i's reads equal the bits of child 2 + i of the seed's spawn. Its
+    # stream holds the bits up to its furthest read end, rounded up to whole
+    # bytes, and its source ends where a fresh one does after as many bits.
     params = ErramilliParams(m1, m2, d)
     runs.sort(key=lambda r: (r[0], sum(r[1])), reverse=not short_first)
     shared = _Shared()
@@ -221,20 +220,21 @@ def test_replayed_streams_equal_fresh_sources(short_first, m1, m2, d, seed, firs
             for start in range(0, count, _BLOCK_STEPS):
                 k = min(_BLOCK_STEPS, count - start)
                 for i in range(first, first + hosts):
-                    got = shared.stream(params, seed, i).read(clock, k)
+                    got = shared.bits((params, seed, i), clock, k)
                     reads.setdefault(i, []).append((clock, got))
                 clock += k
     n_hosts = first + max(h for h, _ in runs)
     children = np.random.SeedSequence(seed).spawn(2 + n_hosts)
     nbytes = 0
     for i, got in reads.items():
-        stream = shared.stream(params, seed, i)
+        source, packed = shared._streams[params, seed, i]
+        held = 8 * math.ceil(max(clock + bits.size for clock, bits in got) / 8)
         fresh = ErramilliSource(params, seed=children[2 + i])
-        want = fresh.bits(stream.size)
-        assert stream.size == max(clock + bits.size for clock, bits in got)
+        want = fresh.bits(held)
+        assert bytes(packed) == np.packbits(want).tobytes()
         for clock, bits in got:
             assert bits.dtype == np.uint8
             assert np.array_equal(bits, want[clock:clock + bits.size])
-        assert stream.source.x == fresh.x
-        nbytes += math.ceil(stream.size / 8)
-    assert sum(len(stream.packed) for stream in shared._streams.values()) == nbytes
+        assert source.x == fresh.x
+        nbytes += held // 8
+    assert sum(len(packed) for _, packed in shared._streams.values()) == nbytes

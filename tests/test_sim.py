@@ -15,7 +15,6 @@ from netqsim import (
     Graph,
     SimConfig,
     TooFewHosts,
-    all_pairs_hop_distances,
     assign_hosts,
     compute_load,
     generate_static_model,
@@ -23,6 +22,7 @@ from netqsim import (
     measure_load_proxy,
     run,
 )
+from netqsim.graphs import all_pairs_hop_distances
 from netqsim.sim import InvariantViolation, SimState, _Shared
 from _helpers import complete_graph, cycle_graph, path_graph
 
@@ -194,7 +194,13 @@ def test_run_steps_block_equals_single_steps():
                  "max_queue"):
         assert getattr(block, name) == getattr(single, name), name
     assert block.link_counts == single.link_counts
-    assert [s.x for s in block.sources.values()] == [s.x for s in single.sources.values()]
+    # both stores hold 1152 bits a stream: the 1150 steps rounded up to whole bytes
+    held = [
+        [(source.x, packed) for source, packed in state._shared._streams.values()]
+        for state in (block, single)
+    ]
+    assert held[0] == held[1]
+    assert [len(packed) for _, packed in held[0]] == [144] * len(hosts)
 
 
 def test_invariant_violation_is_raised():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -116,7 +117,7 @@ def test_endpoint_traps_are_left_on_their_own_side():
 @pytest.mark.parametrize("method", ["bits", "on_count"])
 def test_negative_count_names_the_count(method):
     src = ErramilliSource(ErramilliParams(), seed=1)
-    with pytest.raises(ValueError, match="count must be >= 0, got -5"):
+    with pytest.raises(ValueError, match="count must be an integer >= 0, got -5"):
         getattr(src, method)(-5)
 
 
@@ -205,15 +206,30 @@ def test_calibration_no_convergence():
 
 @pytest.mark.parametrize("max_steps", [0, -3])
 def test_calibration_rejects_bad_max_steps(max_steps):
-    with pytest.raises(ValueError, match=f"max_steps must be >= 1, got {max_steps}"):
+    with pytest.raises(ValueError, match=f"max_steps must be an integer >= 1, got {max_steps}"):
         calibrate_d(2.0, 2.0, 0.1, max_steps=max_steps)
 
 
 @pytest.mark.parametrize("name", ["burn_in", "seed"])
 @pytest.mark.parametrize("make", [ErramilliSource, estimate_rate])
 def test_negative_burn_in_or_seed_is_named(make, name):
-    with pytest.raises(ValueError, match=f"{name} must be >= 0, got -1"):
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= 0, got -1"):
         make(ErramilliParams(), **{name: -1})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda p: ErramilliSource(p, seed=1.5), "seed must be an integer >= 0, got 1.5"),
+    (lambda p: ErramilliSource(p, burn_in=1.5), "burn_in must be an integer >= 0, got 1.5"),
+    (lambda p: estimate_rate(p, samples=1e3), "samples must be an integer >= 1, got 1000.0"),
+    (lambda p: calibrate_d(2, 2, 0.1, samples=1.5e3),
+     "samples must be an integer >= 1, got 1500.0"),
+    (lambda p: calibrate_d(2, 2, 0.1, max_steps=1.5),
+     "max_steps must be an integer >= 1, got 1.5"),
+], ids=["source-seed", "source-burn_in", "estimate_rate-samples", "calibrate_d-samples",
+        "calibrate_d-max_steps"])
+def test_non_integer_counts_and_seeds_are_named(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(ErramilliParams())
 
 
 def test_calibration_early_stop_matches_full_bisection(monkeypatch):
