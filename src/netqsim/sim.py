@@ -34,8 +34,10 @@ class TooFewHosts(ValueError):
 
 
 class InvariantViolation(AssertionError):
-    """A per-step check of `check_invariants=True` failed. Raised, not
-    asserted, so that it also runs under `python -O`."""
+    """A check of the packet accounting failed: at the end of every block of
+    steps in every run, or after every step and packet under
+    `check_invariants=True`. Raised, not asserted, so that it also runs
+    under `python -O`."""
 
 
 @dataclass(slots=True)
@@ -327,7 +329,9 @@ class SimState:
         Each host's bits for the block are read up front, those of steps
         clock .. clock + count - 1 of its stream, and hosts still spawn in
         ascending order within a step. The counters live in locals for the
-        block and are stored back when it ends or raises.
+        block and are stored back when it ends or raises. A block that ends
+        checks the queue census and packet conservation, O(N), whether or
+        not `check_invariants` is set.
         """
         hosts = self.hosts
         generated_at = self._generated_at
@@ -419,6 +423,7 @@ class SimState:
                 series.append(in_flight)
                 if check:
                     self._assert_invariants(pid, delivered, in_flight)
+            self._assert_invariants(pid, delivered, in_flight)
         finally:
             self.clock = t
             self.generated_total = pid

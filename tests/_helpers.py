@@ -1,7 +1,7 @@
 """Shared test graph builders and independent oracles."""
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 
@@ -156,6 +156,19 @@ def reference_load(g: Graph, include_endpoints: bool = False) -> np.ndarray:
         for v in range(n):
             load[v] += 2.0 * reach[v]
     return np.asarray(load)
+
+
+def derived_leaves(g: Graph, held_cells: int) -> dict[int, int]:
+    """Leaf -> parent for every leaf whose Brandes row `compute_load` takes
+    from its neighbour's instead of a BFS: a degree-1 vertex whose neighbour
+    has degree >= 2 and is one of the held_cells // n neighbours with the
+    most such leaves (ties to the smaller index)."""
+    n = g.n_vertices
+    deg = g.degrees()
+    up = {v: nbrs[0] for v, nbrs in enumerate(g.adjacency) if deg[v] == 1 and deg[nbrs[0]] >= 2}
+    kids = Counter(up.values())
+    held = set(sorted(kids, key=lambda u: (-kids[u], u))[: held_cells // n])
+    return {v: u for v, u in up.items() if u in held}
 
 
 _BRUTE_FORCE_CAP = 16

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from _helpers import (
     brute_force_load,
     complete_graph,
     cycle_graph,
+    derived_leaves,
     floyd_warshall,
     grid_graph,
     path_graph,
@@ -144,8 +146,91 @@ def test_geodesic_counts_beyond_exact_float64_raise():
     for endpoints in (False, True):
         assert np.array_equal(compute_load(small, endpoints), reference_load(small, endpoints))
     # corner to corner of a 30 x 30 grid: C(58, 29) ~ 3.0e16 > 2**53 geodesics
+    grid = grid_graph(30, 30)
     with pytest.raises(ValueError, match="exceed exact float64 range"):
-        compute_load(grid_graph(30, 30))
+        compute_load(grid)
+    # pendant leaves on two corners: the corners' rows are BFS'd for their
+    # leaves first, and the source the error names really overflows
+    leafy = Graph(902, grid.edges() + [(0, 900), (899, 901)])
+    assert derived_leaves(leafy, load_module._HELD_CELLS) == {900: 0, 901: 899}
+    with pytest.raises(ValueError, match="exceed exact float64 range") as err:
+        compute_load(leafy)
+    source = int(re.search(r"from source (\d+) ", str(err.value)).group(1))
+    assert max_geodesic_count(leafy, source) >= 2**53
+
+
+def max_geodesic_count(g: Graph, s: int) -> int:
+    """The largest number of geodesics from s to one vertex, counted exactly."""
+    dist = _hop_distances(g, [s])[0].tolist()
+    sigma = [0] * g.n_vertices
+    sigma[s] = 1
+    for v in sorted(range(g.n_vertices), key=dist.__getitem__):
+        for w in g.adjacency[v]:
+            if dist[w] == dist[v] + 1:
+                sigma[w] += sigma[v]
+    return max(sigma)
+
+
+# -- leaves that reuse their neighbour's row ------------------------------------
+
+def bfs_spy(monkeypatch) -> list[int]:
+    """Every source that `load._dependencies` BFSs from now on, in call order."""
+    seen: list[int] = []
+    real = load_module._dependencies
+
+    def spy(csr, sources):
+        seen.extend(sources.tolist())
+        return real(csr, sources)
+
+    monkeypatch.setattr(load_module, "_dependencies", spy)
+    return seen
+
+
+def assert_leaf_path_exact(g: Graph, seen: list[int]) -> None:
+    """Load (both endpoint modes) and cpl equal their oracles, and every
+    source but the derived leaves is BFS'd exactly once."""
+    expect = sorted(set(range(g.n_vertices)) - derived_leaves(g, load_module._HELD_CELLS).keys())
+    for endpoints in (False, True):
+        seen.clear()
+        assert np.array_equal(compute_load(g, endpoints), reference_load(g, endpoints))
+        assert sorted(seen) == expect
+    dist = all_pairs_hop_distances(g)
+    if (dist > 0).any():
+        assert load_and_cpl(g)[1] == characteristic_path_length(dist)
+
+
+def test_leaf_rows_equal_sequential_reference(monkeypatch):
+    seen = bfs_spy(monkeypatch)
+    legs = [(spine, 6 + k) for k, spine in enumerate([0, 0, 2, 3, 3, 3, 5])]
+    caterpillar = Graph(13, [(i, i + 1) for i in range(5)] + legs)
+    # K2s {0, 1} and {2, 3}: a leaf whose neighbour is a leaf runs its BFS
+    pairs = Graph(8, [(0, 1), (2, 3), (4, 5), (5, 6), (4, 6), (6, 7)])
+    isolated = Graph(7, [(1, 2), (2, 3), (2, 4)])
+    cases = [
+        (star_graph(6), {v: 0 for v in range(1, 7)}),
+        (caterpillar, {6: 0, 7: 0, 8: 2, 9: 3, 10: 3, 11: 3, 12: 5}),
+        (path_graph(6), {0: 1, 5: 4}),  # both leaves hang on degree-2 vertices
+        (pairs, {7: 6}),
+        (isolated, {1: 2, 3: 2, 4: 2}),
+    ]
+    for g, derived in cases:
+        assert derived_leaves(g, load_module._HELD_CELLS) == derived
+        assert_leaf_path_exact(g, seen)
+    # one held row: it goes to 6, the one parent of a leaf, not to a K2 end
+    monkeypatch.setattr(load_module, "_HELD_CELLS", pairs.n_vertices)
+    assert_leaf_path_exact(pairs, seen)
+    assert 7 not in seen
+
+
+def test_giants_with_few_held_rows_equal_sequential_reference(monkeypatch):
+    seen = bfs_spy(monkeypatch)
+    for g in kernel_graphs()[:3]:
+        n = g.n_vertices
+        monkeypatch.setattr(load_module, "_HELD_CELLS", 3 * n + n // 2)  # three rows
+        derived = derived_leaves(g, load_module._HELD_CELLS)
+        assert len(set(derived.values())) == 3
+        assert 0 < len(derived) < sum(1 for v in range(n) if g.degree(v) == 1)
+        assert_leaf_path_exact(g, seen)
 
 
 def test_twice_networkx_betweenness():

@@ -9,6 +9,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 import netqsim.graphs
+import netqsim.load
 import netqsim.sim
 from netqsim import (
     ErramilliParams,
@@ -25,7 +26,8 @@ from netqsim.graphs import _hop_distances, all_pairs_hop_distances, characterist
 from netqsim.sim import _BLOCK_STEPS, SimState, _Shared
 from netqsim.traffic import ErramilliSource
 from _helpers import (
-    UnionFind, brute_force_load, floyd_warshall, reference_load, reference_routes,
+    UnionFind, brute_force_load, derived_leaves, floyd_warshall, reference_load,
+    reference_routes,
 )
 
 
@@ -67,6 +69,33 @@ def test_cpl_from_one_pass_matches_dense_oracle(g):
     load, cpl = load_and_cpl(g)
     assert cpl == characteristic_path_length(dist)
     assert np.array_equal(load, reference_load(g))
+
+
+@st.composite
+def leafy_graphs(draw) -> Graph:
+    """A small graph plus up to 8 pendant vertices, each joined to one vertex
+    before it: a leaf, a K2 when that vertex was isolated, a path when it
+    was an earlier pendant."""
+    g = draw(small_graphs())
+    n = g.n_vertices + draw(st.integers(0, 8))
+    pendants = [(draw(st.integers(0, v - 1)), v) for v in range(g.n_vertices, n)]
+    return Graph(n, g.edges() + pendants)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=leafy_graphs(), endpoints=st.booleans(), cells=st.integers(0, 200))
+def test_leaf_rows_match_reference_and_every_other_source_is_bfsd_once(g, endpoints, cells):
+    with mock.patch.object(netqsim.load, "_HELD_CELLS", cells):  # cells // n held rows
+        with mock.patch.object(
+            netqsim.load, "_dependencies", wraps=netqsim.load._dependencies
+        ) as spy:
+            load = compute_load(g, endpoints)
+        dist = all_pairs_hop_distances(g)
+        if (dist > 0).any():
+            assert load_and_cpl(g)[1] == characteristic_path_length(dist)
+    assert np.array_equal(load, reference_load(g, endpoints))
+    bfs = [s for args, _ in spy.call_args_list for s in args[1].tolist()]
+    assert sorted(bfs) == sorted(set(range(g.n_vertices)) - derived_leaves(g, cells).keys())
 
 
 @settings(max_examples=200, deadline=None)

@@ -227,6 +227,20 @@ def test_invariant_violation_is_raised():
         st.step()
 
 
+def test_block_end_checks_the_accounting_without_check_invariants():
+    st = SimState(path_graph(4), hosts=[0, 3], traffic=None)
+    st.inject(0, 3)
+    st._queues[1].append((7, 0, 3, 0))  # a packet no host generated
+    with pytest.raises(InvariantViolation, match="census"):
+        st.run_steps(2)
+
+    st = SimState(path_graph(4), hosts=[0, 3], traffic=None)
+    st.inject(0, 3)
+    st.generated_total += 1
+    with pytest.raises(InvariantViolation, match="conservation"):
+        st.step()
+
+
 def test_invariant_violation_survives_python_O():
     code = (
         "import sys\n"
