@@ -159,19 +159,29 @@ def _leaf_dependencies(
 
     From l, u is the one vertex at depth 1 and its other neighbours w all of
     depth 2, each with sigma 1. So a reverse BFS walk adds 1 + delta_u(w) to
-    delta_l(u), from 0.0, over w in reverse adjacency order. The fold here
-    puts 0.0, which adds exactly, in place of l's own term, and sums in
-    sequence with np.add.accumulate, not pairwise as np.sum does.
+    delta_l(u), from 0.0, over w in reverse adjacency order. u's leaves are
+    folded in chunks of at most _BLOCK_CELLS // deg(u) (at least one), so a
+    hub with many leaves needs no (leaves, deg) array.
     """
     _, indptr, indices = csr
     out = np.zeros(parent.size)
     for u, row in zip(held.tolist(), held_rows):
         mine = np.flatnonzero(parent == u)
         nbrs = indices[indptr[u] : indptr[u + 1]][::-1]
-        terms = np.tile(1.0 + row.take(nbrs), (mine.size, 1))
-        terms[nbrs == mine[:, None]] = 0.0
-        out[mine] = np.add.accumulate(terms, axis=1)[:, -1]
+        terms = 1.0 + row.take(nbrs)
+        step = max(1, _BLOCK_CELLS // nbrs.size)
+        for start in range(0, mine.size, step):
+            chunk = mine[start : start + step]
+            out[chunk] = _folds_skipping(terms, nbrs == chunk[:, None])
     return out
+
+
+def _folds_skipping(terms: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """The left fold of `terms` from 0.0, once per row of the boolean
+    (rows, terms.size) `skip`, with the terms that row marks taken as 0.0,
+    which adds exactly. np.add.accumulate sums in sequence, not pairwise as
+    np.sum does, so each fold rounds as a sequential loop does."""
+    return np.add.accumulate(np.where(skip, 0.0, terms), axis=1)[:, -1]
 
 
 def _dependencies(csr, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -233,6 +233,34 @@ def test_giants_with_few_held_rows_equal_sequential_reference(monkeypatch):
         assert_leaf_path_exact(g, seen)
 
 
+def test_hub_leaves_fold_in_chunks_within_the_block_budget(monkeypatch):
+    # a hub with 200 leaves on a 4-cycle and a triangle: the leaves' rows
+    # fold neighbours of several dependencies
+    k = 200
+    edges = [(0, v) for v in range(1, k + 1)]
+    edges += [(0, k + 1), (k + 1, k + 2), (k + 2, k + 3), (k + 3, 0)]
+    edges += [(0, k + 4), (k + 4, k + 5), (k + 5, 0)]
+    g = Graph(k + 6, edges)
+    shapes: list[tuple[int, int]] = []
+    real = load_module._folds_skipping
+
+    def spy(terms, skip):
+        shapes.append(skip.shape)
+        return real(terms, skip)
+
+    monkeypatch.setattr(load_module, "_folds_skipping", spy)
+    seen = bfs_spy(monkeypatch)
+    for cells, rows in ((1000, 1000 // (k + 4)), (64, 1)):  # deg(hub) = k + 4
+        monkeypatch.setattr(load_module, "_BLOCK_CELLS", cells)
+        shapes.clear()
+        assert_leaf_path_exact(g, seen)
+        assert derived_leaves(g, load_module._HELD_CELLS) == {v: 0 for v in range(1, k + 1)}
+        # two compute_load calls and one load_and_cpl, k leaves each
+        assert sum(r for r, _ in shapes) == 3 * k
+        assert {d for _, d in shapes} == {k + 4}
+        assert max(r for r, _ in shapes) == rows
+
+
 def test_twice_networkx_betweenness():
     nx = pytest.importorskip("networkx")
     for alpha in (0.0, 1.0):
