@@ -28,7 +28,6 @@ from .load import (
     write_load_csv,
 )
 from .sim import (
-    Packet,
     SimConfig,
     SimMetrics,
     SimState,

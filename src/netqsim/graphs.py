@@ -11,6 +11,7 @@ neighbours for `_hop_distances` (the simulator's host rows; from every vertex,
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -54,10 +55,10 @@ class GenParams:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.n_vertices < 1:
-            raise ValueError("n_vertices must be positive")
-        if self.n_edges < 1:
-            raise ValueError("n_edges must be positive")
+        for name, low in (("n_vertices", 1), ("n_edges", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         max_edges = self.n_vertices * (self.n_vertices - 1) // 2
         if self.n_edges > max_edges:
             raise ValueError(
@@ -65,8 +66,6 @@ class GenParams:
             )
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
     @property
     def mean_degree(self) -> float:

@@ -34,21 +34,11 @@ class TooFewHosts(ValueError):
 
 
 class InvariantViolation(AssertionError):
-    """A check of the packet accounting failed: at the end of every block of
-    steps in every run, or after every step and packet under
-    `check_invariants=True`. Raised, not asserted, so that it also runs
-    under `python -O`."""
-
-
-@dataclass(slots=True)
-class Packet:
-    """Log record of one packet, kept under `check_invariants` only."""
-
-    id: int
-    src: int
-    dst: int
-    created_at: int
-    delivered_at: int | None = None
+    """A check of the packet accounting failed: the queue census or packet
+    conservation at the end of every block of steps in every run; under
+    `check_invariants=True` also those after every step, FIFO order at every
+    pop, and each delivered packet's delay against the hop distance from its
+    source. Raised, not asserted, so that it also runs under `python -O`."""
 
 
 @dataclass
@@ -229,9 +219,10 @@ class SimState:
     Routes are tabulated from one BFS per host, `_routes[dst][v]` for every
     host `dst`; hosts must reach each other. Source bits and routes come
     from a `_Shared` store, the state's own unless `_shared` is given.
-    A queued packet is a tuple (id, src, dst, created_at). Under
-    `check_invariants` only, `packets` logs a `Packet` per id and each
-    queue's pops are checked against its arrival order.
+    A queued packet is a tuple (id, src, dst, created_at); no record of a
+    packet outlives its delivery. Under `check_invariants` only, each
+    queue's pops are checked against its arrival order (the ids it keeps in
+    `_arrivals`), and each delivery against the hop distance from src.
 
     Counters are totals since clock 0, `delay_total` the delivery steps summed
     over delivered packets; `run` takes its window as a difference of totals.
@@ -272,11 +263,10 @@ class SimState:
         self._generated_at = [0] * n
         self._active: set[int] = set()
 
-        # Under checking: every packet by id, queue ids in arrival order, hop counts.
+        # Under checking: queue ids in arrival order, hop counts to each host.
         self._host_dist = (
             dict(zip(hosts, _hop_distances(graph, hosts))) if check_invariants else None
         )
-        self.packets: list[Packet] | None = [] if check_invariants else None
         self._arrivals = [deque() for _ in range(n)] if check_invariants else None
         self.clock = 0
         self.generated_total = 0
@@ -289,27 +279,24 @@ class SimState:
     def queue_length(self, v: int) -> int:
         return len(self._queues[v])
 
-    def inject(self, src: int, dst: int) -> Packet:
-        """Manually enqueue a packet at `src` (both endpoints must be hosts).
-
-        The returned record gets its `delivered_at` only under checking,
-        where it is the logged one."""
+    def inject(self, src: int, dst: int) -> int:
+        """Manually enqueue a packet at `src` (both endpoints must be hosts);
+        returns its id, the number of packets generated before it."""
         if src not in self._host_set or dst not in self._host_set:
             raise ValueError("src and dst must be hosts")
         if src == dst:
             raise ValueError("src and dst must differ")
-        pkt = Packet(self.generated_total, src, dst, self.clock)
-        if self.packets is not None:
-            self.packets.append(pkt)
-            self._arrivals[src].append(pkt.id)
+        pid = self.generated_total
+        if self._check:
+            self._arrivals[src].append(pid)
         q = self._queues[src]
-        q.append((pkt.id, src, dst, pkt.created_at))
+        q.append((pid, src, dst, self.clock))
         self._active.add(src)
         self.max_queue = max(self.max_queue, len(q))
         self._generated_at[src] += 1
         self.generated_total += 1
         self.in_flight += 1
-        return pkt
+        return pid
 
     # -- dynamics ----------------------------------------------------------
 
@@ -353,7 +340,6 @@ class SimState:
         width = others.bit_length()
         series = self.queue_series
         check = self._check
-        log = self.packets
         arrivals = self._arrivals
         host_dist = self._host_dist
 
@@ -381,7 +367,6 @@ class SimState:
                     if len(q) > max_queue:
                         max_queue = len(q)
                     if check:
-                        log.append(Packet(pid, h, dst, t))
                         arrivals[h].append(pid)
                     pid += 1
                 in_flight += len(on_hosts)
@@ -403,13 +388,10 @@ class SimState:
                         delivered += 1
                         delay += t + 1 - pkt[3]
                         in_flight -= 1
-                        if check:
-                            rec = log[pkt[0]]
-                            rec.delivered_at = t + 1
-                            if rec.delivered_at - rec.created_at < host_dist[dst][rec.src]:
-                                raise InvariantViolation(
-                                    f"packet {rec.id} beat the hop-distance lower bound"
-                                )
+                        if check and t + 1 - pkt[3] < host_dist[dst][pkt[1]]:
+                            raise InvariantViolation(
+                                f"packet {pkt[0]} beat the hop-distance lower bound"
+                            )
                     else:
                         q = queues[nxt]
                         q.append(pkt)

@@ -217,10 +217,8 @@ def default_block_sizes(
     Starting at 100 keeps the fit out of the small-block region where
     short-range correlations inflate the slope.
     """
-    sizes = np.unique(
-        np.round(np.logspace(math.log10(min_size), math.log10(max_size), count))
-    )
-    return [int(s) for s in sizes]
+    sizes = np.round(np.logspace(math.log10(min_size), math.log10(max_size), count))
+    return sorted({int(s) for s in sizes})
 
 
 def hurst_aggregated_variance(bits, block_sizes) -> float:

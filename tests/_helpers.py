@@ -1,7 +1,9 @@
 """Shared test graph builders and independent oracles."""
 from __future__ import annotations
 
+import random
 from collections import Counter, deque
+from typing import NamedTuple
 
 import numpy as np
 
@@ -10,10 +12,12 @@ from netqsim import (
     ErramilliSource,
     Graph,
     NoConvergence,
+    SimState,
     estimate_rate,
+    measure_load_proxy,
 )
 from netqsim.graphs import all_pairs_hop_distances
-from netqsim.traffic import _ENDPOINT_EPS
+from netqsim.traffic import _BURN_IN, _ENDPOINT_EPS
 
 
 def path_graph(n: int) -> Graph:
@@ -291,3 +295,77 @@ def reference_routes(g: Graph, hosts) -> list[list[tuple[int, ...]] | None]:
             for v, nbrs in enumerate(g.adjacency)
         ]
     return routes
+
+
+class ReferenceRun(NamedTuple):
+    series: list[int]  # packets in flight after each step
+    records: list[tuple[int, int, int, int, int]]  # (id, src, dst, created_at, delivered_at)
+    generated: int
+    link_counts: list[list[int]]
+    transit: list[int]  # forwards per vertex of packets it did not generate
+
+
+def reference_run(g: Graph, hosts, traffic: ErramilliParams, seed: int,
+                  steps: int) -> ReferenceRun:
+    """The step rule of the `SimState` docstring read literally, one packet
+    at a time, the oracle that `SimState` must equal bit for bit.
+
+    Host i (hosts sorted) reads the scalar orbit `advance` of its source,
+    child 2 + i of SeedSequence(seed), after the default burn-in; an orbit
+    point above d spawns a packet whose destination is drawn by `randrange`
+    among the other hosts. Then every vertex that holds packets when the
+    forwarding phase starts, in ascending order, pops its head and hands it
+    to the closest neighbour (`reference_routes`) over the least-used link,
+    `randrange` breaking the ties that remain.
+    """
+    hosts = sorted(hosts)
+    sources = []
+    for i in range(len(hosts)):
+        child = np.random.SeedSequence(seed, spawn_key=(2 + i,))
+        src = ErramilliSource(traffic, seed=child, burn_in=0)
+        for _ in range(_BURN_IN):
+            advance(src)
+        sources.append(src)
+    dest_rng, tie_rng = (
+        random.Random(int(ss.generate_state(1)[0]))
+        for ss in np.random.SeedSequence(seed).spawn(2)
+    )
+    routes = reference_routes(g, hosts)
+    adj = g.adjacency
+    queues = [deque() for _ in adj]
+    counts = [[0] * len(nbrs) for nbrs in adj]
+    transit = [0] * len(adj)
+    series, records = [], []
+    generated = 0
+    for t in range(steps):
+        for i, (h, src) in enumerate(zip(hosts, sources)):
+            if advance(src) > traffic.d:
+                j = dest_rng.randrange(len(hosts) - 1)
+                dst = hosts[j + (j >= i)]
+                queues[h].append((generated, h, dst, t))
+                generated += 1
+        for v in [v for v, q in enumerate(queues) if q]:
+            pkt = queues[v].popleft()
+            row = counts[v]
+            closer = routes[pkt[2]][v]
+            least = min(row[k] for k in closer)
+            ties = [k for k in closer if row[k] == least]
+            k = ties[tie_rng.randrange(len(ties))] if len(ties) > 1 else ties[0]
+            row[k] += 1
+            transit[v] += pkt[1] != v
+            if adj[v][k] == pkt[2]:
+                records.append(pkt + (t + 1,))
+            else:
+                queues[adj[v][k]].append(pkt)
+        series.append(generated - len(records))
+    return ReferenceRun(series, records, generated, counts, transit)
+
+
+def assert_equals_reference(state: SimState, ref: ReferenceRun) -> None:
+    """Every output `SimState` shares with the reference is equal."""
+    assert state.queue_series == ref.series
+    assert state.generated_total == ref.generated
+    assert state.delivered_total == len(ref.records)
+    assert state.delay_total == sum(r[4] - r[3] for r in ref.records)
+    assert state.link_counts == ref.link_counts
+    assert measure_load_proxy(state).tolist() == ref.transit

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s`. The two expensive
 ensembles (load statistics vs alpha, and the throughput/delivery sweep)
 are computed once at module scope and shared by their criteria.
 """
+import copy
 import math
 import time
 
@@ -30,11 +31,13 @@ from netqsim.cli import FIG34_COLUMNS, ExperimentPlan, emit_csv, run_fig34_sweep
 from netqsim.graphs import all_pairs_hop_distances
 from netqsim.sim import InvariantViolation, SimState
 from _helpers import (
+    assert_equals_reference,
     brute_force_load,
     cycle_graph,
     path_graph,
     petersen_graph,
     random_graph,
+    reference_run,
     star_graph,
 )
 
@@ -239,21 +242,37 @@ def test_criterion_08_throughput_ordering_and_widening_gap(fig34_sweep):
 def test_criterion_09_simulation_invariants():
     # check_invariants raises on a breach of conservation, the queue census,
     # FIFO order (each queue's pops against its arrival order) or the
-    # delivery-time lower bound; determinism is a bit-exact re-run comparison
+    # delivery-time lower bound; the run equals the reference simulator, whose
+    # delivered packets meet the bound; determinism is a bit-exact re-run
+    # comparison
     params = GenParams.from_avg_degree(150, 3.0, 0.5, 7)
     gc, _ = giant_component(generate_static_model(params))
     dist = all_pairs_hop_distances(gc)  # oracle of the delivery bound
     hosts = sorted(range(0, gc.n_vertices, 3))
-    state = SimState(
-        gc, hosts, traffic=ErramilliParams(2.0, 2.0, 0.75),
-        seed=13, check_invariants=True,
-    )
+    traffic = ErramilliParams(2.0, 2.0, 0.75)
+    state = SimState(gc, hosts, traffic=traffic, seed=13, check_invariants=True)
     state.run_steps(600)  # raises on any per-step invariant violation
-    bound_ok = all(
-        p.delivered_at - p.created_at >= int(dist[p.src, p.dst])
-        for p in state.packets
-        if p.delivered_at is not None
+    ref = reference_run(gc, hosts, traffic, 13, 600)
+    try:
+        assert_equals_reference(state, ref)
+        same = True
+    except AssertionError:
+        same = False
+    bound_ok = same and bool(ref.records) and all(
+        delivered_at - created_at >= int(dist[src, dst])
+        for _, src, dst, created_at, delivered_at in ref.records
     )
+    # the bound check is live: queued packets created one step in the
+    # future make the next delivery fail it
+    broken = copy.deepcopy(state)
+    for q in broken._queues:
+        for i, pkt in enumerate(q):
+            q[i] = pkt[:3] + (broken.clock + 1,)
+    try:
+        broken.step()
+        bound_ok = False
+    except InvariantViolation as exc:
+        bound_ok = bound_ok and "lower bound" in str(exc)
     # the FIFO check saw queues of several packets, and it is live: two
     # swapped queue entries fail the next step
     busy = [v for v in range(gc.n_vertices) if state.queue_length(v) >= 2]
@@ -274,7 +293,7 @@ def test_criterion_09_simulation_invariants():
     ok = fifo_ok and bound_ok and deterministic
     _report(
         9, "conservation, FIFO, delivery bound and determinism hold", ok,
-        f"fifo={fifo_ok} bound={bound_ok} deterministic={deterministic} "
+        f"fifo={fifo_ok} bound={bound_ok} reference={same} deterministic={deterministic} "
         f"({state.delivered_total} delivered under per-step asserts)",
     )
 

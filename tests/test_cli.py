@@ -636,7 +636,7 @@ def test_public_names_are_pinned():
     assert names == [
         "AttemptBudgetExceeded", "ErramilliParams", "ErramilliSource", "GenParams", "Graph",
         "InsufficientData", "InsufficientTail", "LoadStats", "NoConvergence",
-        "NoReachablePairs", "Packet", "SimConfig", "SimMetrics", "SimState", "TooFewHosts",
+        "NoReachablePairs", "SimConfig", "SimMetrics", "SimState", "TooFewHosts",
         "assign_hosts", "calibrate_d", "compute_load", "default_block_sizes",
         "degree_histogram", "estimate_rate", "fit_powerlaw_exponent",
         "generate_static_model", "giant_component", "hurst_aggregated_variance",

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -43,6 +44,21 @@ def test_genparams_validation():
         GenParams(4, 3, 1.1, 1)
     with pytest.raises(ValueError):
         GenParams(0, 1, 0.5, 1)
+    assert GenParams(10, 5, 0.5, np.int64(1)).seed == 1  # numpy integers pass
+
+
+@pytest.mark.parametrize("args, message", [
+    ((10.5, 5, 0.5, 1), "n_vertices must be an integer >= 1, got 10.5"),
+    ((0, 1, 0.5, 1), "n_vertices must be an integer >= 1, got 0"),
+    ((10, 5.0, 0.5, 1), "n_edges must be an integer >= 1, got 5.0"),
+    ((10, 0, 0.5, 1), "n_edges must be an integer >= 1, got 0"),
+    ((10, 5, 0.5, 1.5), "seed must be an integer >= 0, got 1.5"),
+    ((10, 5, 0.5, -1), "seed must be an integer >= 0, got -1"),
+])
+def test_genparams_names_a_bad_count_or_seed(args, message):
+    # a float count or seed used to pass, then fail deep in the generator
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GenParams(*args)
 
 
 def test_genparams_mean_degree():

@@ -24,7 +24,9 @@ from netqsim import (
 )
 from netqsim.graphs import all_pairs_hop_distances
 from netqsim.sim import InvariantViolation, SimState, _Shared
-from _helpers import complete_graph, cycle_graph, path_graph
+from _helpers import (
+    assert_equals_reference, complete_graph, cycle_graph, path_graph, reference_run,
+)
 
 
 # -- host assignment ---------------------------------------------------------------
@@ -136,34 +138,55 @@ def test_idle_step_only_advances_clock():
     assert st.queue_series == [0] * 5
 
 
+def delivery_totals(st: SimState, steps: int) -> list[tuple[int, int]]:
+    """(delivered_total, delay_total) after each of `steps` further steps."""
+    totals = []
+    for _ in range(steps):
+        st.step()
+        totals.append((st.delivered_total, st.delay_total))
+    return totals
+
+
 def test_single_packet_delivered_in_hop_distance_steps():
     g = path_graph(6)
     st = SimState(g, hosts=[0, 5], traffic=None, check_invariants=True)
-    pkt = st.inject(0, 5)
-    st.run_steps(10)
-    assert pkt.delivered_at - pkt.created_at == 5
+    assert st.inject(0, 5) == 0
+    assert delivery_totals(st, 10) == [(0, 0)] * 4 + [(1, 5)] * 6
 
 
 def test_one_departure_per_node_per_step():
     g = path_graph(3)
     st = SimState(g, hosts=[0, 2], traffic=None, check_invariants=True)
-    a = st.inject(0, 2)
-    b = st.inject(0, 2)
+    st.inject(0, 2)
+    st.inject(0, 2)
     st.step()
     # only the head moved
     assert st.queue_length(0) == 1 and st.queue_length(1) == 1
-    st.run_steps(5)
-    assert a.delivered_at == 2 and b.delivered_at == 3
+    # a delivered at 2 and b at 3
+    assert delivery_totals(st, 5) == [(1, 2)] + [(2, 5)] * 4
 
 
 def test_fifo_discipline_preserves_order():
     g = path_graph(4)
     st = SimState(g, hosts=[0, 3], traffic=None, check_invariants=True)
-    pkts = [st.inject(0, 3) for _ in range(5)]
-    st.run_steps(20)
-    times = [p.delivered_at for p in pkts]
-    assert times == sorted(times)
-    assert times == [3, 4, 5, 6, 7]
+    assert [st.inject(0, 3) for _ in range(5)] == [0, 1, 2, 3, 4]
+    # ids queued at vertices 0, 1, 2 and (delivered, delay) totals after
+    # each step: packet i leaves first in step i + 1 and arrives at i + 3
+    expected = [
+        ([[1, 2, 3, 4], [0], []], (0, 0)),
+        ([[2, 3, 4], [1], [0]], (0, 0)),
+        ([[3, 4], [2], [1]], (1, 3)),
+        ([[4], [3], [2]], (2, 7)),
+        ([[], [4], [3]], (3, 12)),
+        ([[], [], [4]], (4, 18)),
+        ([[], [], []], (5, 25)),
+    ]
+    for queued, totals in expected:
+        st.step()
+        assert [[p[0] for p in st._queues[v]] for v in range(3)] == queued
+        assert (st.delivered_total, st.delay_total) == totals
+    st.run_steps(13)
+    assert (st.delivered_total, st.delay_total) == (5, 25)
 
 
 def test_arrivals_wait_for_next_step():
@@ -213,8 +236,9 @@ def test_invariant_violation_is_raised():
         st.step()
 
     st = SimState(path_graph(4), hosts=[0, 3], traffic=None, check_invariants=True)
-    pkt = st.inject(0, 3)
-    pkt.created_at += 1  # three hops in two steps
+    st.inject(0, 3)
+    q = st._queues[0]
+    q[0] = q[0][:3] + (q[0][3] + 1,)  # created_at raised: three hops in two steps
     with pytest.raises(InvariantViolation, match="lower bound"):
         st.run_steps(3)
 
@@ -277,23 +301,34 @@ def test_inject_validation():
 
 
 def test_generated_packets_target_other_hosts():
+    # the run equals the reference, whose delivered packets and the
+    # simulator's queued ones are every packet generated
     g = complete_graph(5)
-    st = SimState(g, hosts=[0, 1, 2], traffic=ErramilliParams(1.5, 1.5, 0.3), seed=6,
-                  check_invariants=True)
+    traffic = ErramilliParams(1.5, 1.5, 0.3)
+    st = SimState(g, hosts=[0, 1, 2], traffic=traffic, seed=6, check_invariants=True)
     st.run_steps(200)
+    ref = reference_run(g, [0, 1, 2], traffic, 6, 200)
+    assert_equals_reference(st, ref)
+    packets = [r[:4] for r in ref.records] + [p for q in st._queues for p in q]
+    assert sorted(p[0] for p in packets) == list(range(st.generated_total))
     assert st.generated_total > 0
-    for pkt in st.packets:
-        assert pkt.src in (0, 1, 2) and pkt.dst in (0, 1, 2)
-        assert pkt.src != pkt.dst
+    for _, src, dst, _ in packets:
+        assert src in (0, 1, 2) and dst in (0, 1, 2)
+        assert src != dst
 
 
 # -- full runs ---------------------------------------------------------------------------
 
-def test_packet_log_only_under_checking():
-    st = SimState(path_graph(4), hosts=[0, 3], traffic=ErramilliParams(2.0, 2.0, 0.5))
-    st.run_steps(50)
-    assert st.packets is None
-    assert st.inject(0, 3).id == st.generated_total - 1 > 0
+def test_inject_returns_the_next_packet_id():
+    # no per-packet log is kept, checked or not: a queued tuple is all there is
+    for check in (False, True):
+        st = SimState(path_graph(4), hosts=[0, 3], traffic=ErramilliParams(2.0, 2.0, 0.5),
+                      check_invariants=check)
+        st.run_steps(50)
+        assert not hasattr(st, "packets")
+        pid = st.inject(0, 3)
+        assert pid == st.generated_total - 1 > 0
+        assert st._queues[0][-1] == (pid, 0, 3, 50)
 
 
 def test_run_requires_connected_graph():
@@ -338,14 +373,14 @@ def test_conservation_and_delivery_bound_under_load():
 def test_delivery_times_at_least_hop_distance():
     g = cycle_graph(9)
     dist = all_pairs_hop_distances(g)
-    st = SimState(g, hosts=list(range(9)),
-                  traffic=ErramilliParams(1.5, 1.5, 0.5), seed=4,
-                  check_invariants=True)
+    traffic = ErramilliParams(1.5, 1.5, 0.5)
+    st = SimState(g, hosts=list(range(9)), traffic=traffic, seed=4, check_invariants=True)
     st.run_steps(500)
-    delivered = [p for p in st.packets if p.delivered_at is not None]
-    assert delivered
-    for p in delivered:
-        assert p.delivered_at - p.created_at >= int(dist[p.src, p.dst])
+    ref = reference_run(g, range(9), traffic, 4, 500)
+    assert_equals_reference(st, ref)
+    assert ref.records
+    for _, src, dst, created_at, delivered_at in ref.records:
+        assert delivered_at - created_at >= int(dist[src, dst])
 
 
 def test_simmetrics_digest_is_pinned():
@@ -477,10 +512,10 @@ def test_load_proxy_rank_correlates_with_static_load():
 def test_node_state_view():
     g = path_graph(3)
     st = SimState(g, hosts=[0, 2], traffic=None)
-    pkt = st.inject(0, 2)
+    assert st.inject(0, 2) == 0
     assert 0 in st.hosts and st.queue_length(0) == 1
     assert st.link_counts[0] == [0]
     st.step()
     assert st.queue_length(0) == 0 and st.queue_length(1) == 1
     assert st.link_counts[0] == [1]
-    assert 1 not in st.hosts and pkt.delivered_at is None
+    assert 1 not in st.hosts and st.delivered_total == 0

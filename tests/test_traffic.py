@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -302,6 +306,24 @@ def test_default_block_sizes_span():
     sizes = default_block_sizes()
     assert len(sizes) >= 4
     assert sizes[-1] >= 100 * sizes[0]
+    assert sizes == [100, 193, 373, 720, 1389, 2683, 5179, 10000]
+    # rounding that repeats a size keeps one copy, in ascending order
+    assert default_block_sizes(1, 4, 8) == [1, 2, 3, 4]
+    assert all(type(s) is int for s in sizes)
+
+
+def test_default_block_sizes_leave_numpy_ma_unimported():
+    src = Path(netqsim.__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        "from netqsim import default_block_sizes\n"
+        "default_block_sizes()\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 # -- trace export ------------------------------------------------------------------------
