@@ -4,9 +4,9 @@ and delivery time vs generation rate per topology)."""
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import numbers
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -213,22 +213,21 @@ def _sweep(plan: ExperimentPlan, kind: str, columns: list[str], parts: list[dict
         for seed in plan.seeds:
             if progress:
                 progress(f"{kind} alpha={alpha} seed={seed}")
-            topology = None
+            try:
+                g, topology_columns = _build_topology(plan, alpha, seed)
+            except Exception as exc:  # noqa: BLE001 - fails every part of its (alpha, seed)
+                failures.extend(
+                    {"alpha": alpha, **p, "seed": seed, "error": repr(exc)} for p in parts
+                )
+                continue
             for part in parts:
                 try:
-                    topology = topology or _build_topology(plan, alpha, seed)
-                    g, topology_columns = topology
                     rows.append({
                         "alpha": alpha, "gamma": gamma_of_alpha(alpha), **part, "seed": seed,
                         **topology_columns, **simulate(g, seed, part),
                     })
                 except Exception as exc:  # noqa: BLE001 - cell isolation by contract
-                    failed = parts if topology is None else [part]
-                    failures.extend(
-                        {"alpha": alpha, **p, "seed": seed, "error": repr(exc)} for p in failed
-                    )
-                    if topology is None:
-                        break
+                    failures.append({"alpha": alpha, **part, "seed": seed, "error": repr(exc)})
     split = columns.index("seed")
     return rows, average_records(rows, columns[:split], columns[split + 1:]), failures
 
@@ -256,25 +255,23 @@ def run_fig34_sweep(
 
     The runs share one `_Shared` store: each host's source stream is drawn
     once per (seed, lambda) and replayed at every alpha, and the hosts and
-    routes of an (alpha, seed) are built once for all its lambdas.
+    routes of an (alpha, seed) are built once for all its lambdas. Each
+    lambda is calibrated once, in plan order, before the first cell.
     """
     shared = _Shared()
-
-    @functools.cache
-    def calibrated(lam: float):
-        """d for `lam`, or the error of its failed calibration: either is
-        found once per sweep, not once per cell."""
+    calibrated = {}  # lambda -> d, or the error of its failed calibration
+    for lam in plan.lambdas:
         try:
-            return calibrate_d(
+            calibrated[lam] = calibrate_d(
                 plan.m1, plan.m2, lam, tol=plan.calib_tol, seed=_CALIBRATION_SEED
             )
         except Exception as exc:  # noqa: BLE001 - failed by _sweep in each of its cells
-            return exc
+            calibrated[lam] = exc
 
     def simulate(g, seed: int, part: dict) -> dict:
-        d = calibrated(part["lambda"])
+        d = calibrated[part["lambda"]]
         if isinstance(d, Exception):
-            raise d.with_traceback(None)  # without the frames of earlier cells
+            raise d.with_traceback(None)  # without the frames of earlier raises
         config = SimConfig(
             graph=g,
             rho=plan.rho,
@@ -459,6 +456,11 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"{args.config}, {exc}") from None
     if not plan.out:
         raise ValidationError("out: no output path (use --out or config)")
+    for path in (plan.out, _avg_path(plan.out)):
+        if os.path.isdir(path):
+            raise ValidationError(f"out: {path!r} is a directory")
+    if not os.path.isdir(os.path.dirname(plan.out) or "."):
+        raise ValidationError(f"out: the directory of {plan.out!r} does not exist")
 
     def progress(msg: str) -> None:
         print(msg, file=sys.stderr)
@@ -555,7 +557,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - runtime failure exit code
-        print(f"runtime error: {exc!r}", file=sys.stderr)
+        # an OSError's str names its file, its repr does not
+        print(f"runtime error: {exc if isinstance(exc, OSError) else repr(exc)}", file=sys.stderr)
         return 2
 
 

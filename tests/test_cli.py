@@ -444,6 +444,47 @@ def test_fig34_calibration_failure_fails_only_its_lambda(monkeypatch):
     assert calibrated == [0.1, 0.2]
 
 
+def test_fig34_sweep_calibrates_every_lambda_before_the_first_cell(monkeypatch):
+    import netqsim.cli as cli
+
+    events = []
+
+    def calibrate(m1, m2, lam, **kwargs):
+        events.append(("calibrate", lam))
+        return 0.8
+
+    def progress(msg):
+        events.append(("progress", msg))
+
+    monkeypatch.setattr(cli, "calibrate_d", calibrate)
+    plan = ExperimentPlan(
+        n_vertices=30, avg_degree=2.0, alphas=[0.0, 1.0], lambdas=[0.2, 0.1, 0.15],
+        seeds=[0, 1], warmup_steps=20, measure_steps=100,
+    )
+    # each lambda once, in plan order, before the first progress message
+    expected = [("calibrate", lam) for lam in plan.lambdas] + [
+        ("progress", f"fig34 alpha={a} seed={s}") for a in plan.alphas for s in plan.seeds
+    ]
+    rows, _, failures = run_fig34_sweep(plan, progress=progress)
+    assert failures == [] and len(rows) == 12
+    assert events == expected
+
+    def no_graph(params):
+        raise RuntimeError("no graph")
+
+    # with every graph failing, each cell fails once with that error, and
+    # the lambdas are still calibrated first
+    monkeypatch.setattr(cli, "generate_static_model", no_graph)
+    events.clear()
+    rows, avg, failures = run_fig34_sweep(plan, progress=progress)
+    assert rows == [] and avg == []
+    assert failures == [
+        {"alpha": a, "lambda": lam, "seed": s, "error": "RuntimeError('no graph')"}
+        for a in plan.alphas for s in plan.seeds for lam in plan.lambdas
+    ]
+    assert events == expected
+
+
 @pytest.mark.parametrize("kind, sweep", [("fig12", run_fig12_sweep), ("fig34", run_fig34_sweep)])
 def test_progress_once_per_alpha_seed(kind, sweep, monkeypatch):
     import netqsim.cli as cli
@@ -604,6 +645,24 @@ def test_sweep_with_every_cell_failed_prints_each_failure(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out, named", [
+    ("nodir/x.csv", "nodir/x.csv"), ("sub", "sub"), ("x.csv", "x_avg.csv"),
+])
+def test_sweep_rejects_a_missing_output_directory_before_any_cell(out, named, tmp_path,
+                                                                 monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "x_avg.csv").mkdir()
+    assert main([
+        "sweep", "--kind", "fig12", "--n", "30", "--avg-degree", "2", "--seeds", "0,1",
+        "--out", out,
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out: ") and repr(named) in err
+    assert len(err.splitlines()) == 1  # no progress line: no cell ran
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["sub", "x_avg.csv"]
+
+
 def test_sweep_config_file(tmp_path):
     cfg = tmp_path / "plan.cfg"
     out = tmp_path / "out.csv"
@@ -623,6 +682,17 @@ def test_exit_code_validation_error(capsys):
 def test_exit_code_runtime_error(tmp_path, capsys):
     missing = tmp_path / "missing.txt"
     assert main(["run", "--edges", str(missing), "--d", "0.8", "--steps", "10"]) == 2
+    # a file error names its path, for a missing input and for an output in a
+    # missing directory
+    assert capsys.readouterr().err == (
+        f"runtime error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+    )
+    assert main(["sweep", "--kind", "fig12", "--config", str(missing)]) == 2
+    assert main(["load", "--edges", str(missing), "--out", str(tmp_path / "l.csv")]) == 2
+    assert capsys.readouterr().err.count(str(missing)) == 2
+    out = tmp_path / "nodir" / "g.txt"
+    assert main(["gen", "--alpha", "0.5", "--n", "30", "--out", str(out)]) == 2
+    assert str(out) in capsys.readouterr().err
 
 
 # -- package surface ---------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import netqsim.graphs
 import netqsim.load
@@ -50,7 +50,7 @@ def connected_graphs(draw) -> Graph:
     return Graph(n, tree + [p for p, k in zip(pairs, keep) if k])
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(g=small_graphs(), endpoints=st.booleans())
 def test_load_matches_reference_and_brute_force(g, endpoints):
     load = compute_load(g, endpoints)
@@ -58,7 +58,7 @@ def test_load_matches_reference_and_brute_force(g, endpoints):
     assert np.max(np.abs(load - brute_force_load(g, endpoints))) < 1e-9
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(g=small_graphs())
 def test_cpl_from_one_pass_matches_dense_oracle(g):
     dist = all_pairs_hop_distances(g)
@@ -82,7 +82,7 @@ def leafy_graphs(draw) -> Graph:
     return Graph(n, g.edges() + pendants)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(g=leafy_graphs(), endpoints=st.booleans(), cells=st.integers(0, 200))
 def test_leaf_rows_match_reference_and_every_other_source_is_bfsd_once(g, endpoints, cells):
     with mock.patch.object(netqsim.load, "_HELD_CELLS", cells):  # cells // n held rows
@@ -98,7 +98,7 @@ def test_leaf_rows_match_reference_and_every_other_source_is_bfsd_once(g, endpoi
     assert sorted(bfs) == sorted(set(range(g.n_vertices)) - derived_leaves(g, cells).keys())
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(g=small_graphs(), data=st.data(), cells=st.integers(1, 200))
 def test_hop_distances_match_dense_oracle(g, data, cells):
     sources = data.draw(st.lists(st.integers(0, g.n_vertices - 1), min_size=1))
@@ -121,7 +121,7 @@ def assert_giant_is_the_first_largest(g: Graph) -> None:
     assert gc.edges() == [(remap[u], remap[v]) for u, v in g.edges() if u in remap]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(g=small_graphs())
 def test_giant_component_is_the_first_largest(g):
     assert_giant_is_the_first_largest(g)
@@ -142,7 +142,7 @@ def shuffled_forests(draw) -> Graph:
     return Graph(n, [(label[u], label[v]) for u, v in edges])
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(g=shuffled_forests())
 def test_giant_component_of_long_paths_and_forests(g):
     assert_giant_is_the_first_largest(g)
@@ -175,7 +175,7 @@ def hub_graphs_and_hosts(draw) -> tuple[Graph, list[int], list[int]]:
     return g, hosts, [label[v] for v in other]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(case=hub_graphs_and_hosts(), block=st.integers(1, 4000))
 def test_route_tables_match_the_neighbour_scan(case, block):
     g, hosts, other = case
@@ -187,7 +187,7 @@ def test_route_tables_match_the_neighbour_scan(case, block):
     assert len({id(e) for e in entries}) == len(set(entries))  # equal entries interned
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     g=connected_graphs(),
     data=st.data(),
@@ -233,9 +233,7 @@ def oracle_cases(draw) -> tuple[Graph, list[int]]:
     return g, hosts
 
 
-# Without the explain phase: on a shrunk example of these draws it can fail
-# inside hypothesis (an assertion on span starts) and print no example.
-@settings(max_examples=50, deadline=None, phases=set(Phase) - {Phase.explain})
+@settings(max_examples=50)
 @given(
     case=oracle_cases(),
     d=st.floats(0.3, 0.95),
@@ -264,7 +262,7 @@ def stream_runs(draw) -> tuple[int, list[int]]:
 
 
 @pytest.mark.parametrize("short_first", [True, False])
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(
     m1=st.floats(1.5, 2.0), m2=st.floats(1.5, 2.0), d=st.floats(0.05, 0.95),
     seed=st.integers(0, 2**16), first=st.integers(0, 300),
