@@ -336,7 +336,20 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _check_out(flag: str, path: str | None) -> None:
+    """Raise ValidationError naming `flag` and `path` when an output cannot
+    go there: the path is a directory, or its directory does not exist.
+    Every command checks its outputs this way before any work."""
+    if not path:
+        return
+    if os.path.isdir(path):
+        raise ValidationError(f"{flag}: {path!r} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValidationError(f"{flag}: the directory of {path!r} does not exist")
+
+
 def _cmd_gen(args) -> int:
+    _check_out("--out", args.out)
     params = GenParams.from_avg_degree(args.n, args.avg_degree, args.alpha, args.seed)
     g = generate_static_model(params)
     if args.giant:
@@ -347,6 +360,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_load(args) -> int:
+    _check_out("--out", args.out)
     g, _ = read_edge_list(args.edges)
     if args.giant:
         g, _ = giant_component(g)
@@ -380,6 +394,14 @@ def _cmd_traffic(args) -> int:
         raise ValidationError(f"--bits: must be >= 1, got {args.bits}")
     elif not (args.out or args.hurst):
         raise ValidationError("--bits requires --out or --hurst")
+    _check_out("--out", args.out)
+    if args.hurst:
+        max_block = max(1000, args.bits // 100)
+        sizes = default_block_sizes(max(10, max_block // 100), max_block)
+        if args.bits < 100 * sizes[-1]:
+            raise ValidationError(
+                f"--bits: --hurst needs at least {100 * sizes[-1]} bits, got {args.bits}"
+            )
     d, _ = _resolve_d(args)
     if args.target_lambda is not None:
         print(f"d={d!r}")
@@ -394,14 +416,14 @@ def _cmd_traffic(args) -> int:
             write_bit_trace(bits, args.out, fmt=args.format)
             print(f"wrote {args.out}: {args.bits} bits ({args.format})")
         if args.hurst:
-            max_block = max(1000, args.bits // 100)
-            sizes = default_block_sizes(max(10, max_block // 100), max_block)
             h = hurst_aggregated_variance(bits, sizes)
             print(f"hurst={h!r}")
     return 0
 
 
 def _cmd_run(args) -> int:
+    _check_out("--out", args.out)
+    _check_out("--queue-series", args.queue_series)
     if args.edges is not None:  # argparse makes it exclusive of --alpha
         g, meta = read_edge_list(args.edges)
         alpha = meta.get("alpha", float("nan"))
@@ -456,11 +478,8 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"{args.config}, {exc}") from None
     if not plan.out:
         raise ValidationError("out: no output path (use --out or config)")
-    for path in (plan.out, _avg_path(plan.out)):
-        if os.path.isdir(path):
-            raise ValidationError(f"out: {path!r} is a directory")
-    if not os.path.isdir(os.path.dirname(plan.out) or "."):
-        raise ValidationError(f"out: the directory of {plan.out!r} does not exist")
+    _check_out("out", plan.out)
+    _check_out("out", _avg_path(plan.out))
 
     def progress(msg: str) -> None:
         print(msg, file=sys.stderr)

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import random
-from collections import Counter, deque
+from collections import deque
 from typing import NamedTuple
 
 import numpy as np
@@ -115,7 +115,7 @@ def read_csv(path: str) -> list[dict]:
 
 def reference_load(g: Graph, include_endpoints: bool = False) -> np.ndarray:
     """Sequential Brandes load, one source at a time: the oracle that
-    `compute_load` must match bit for bit.
+    `compute_load` must match to within float64 rounding.
 
     Per source, a deque BFS counts geodesics (sigma, exact Python ints) and
     the reverse BFS order accumulates delta[v] += sigma[v] * (1 + delta[w])
@@ -162,17 +162,12 @@ def reference_load(g: Graph, include_endpoints: bool = False) -> np.ndarray:
     return np.asarray(load)
 
 
-def derived_leaves(g: Graph, held_cells: int) -> dict[int, int]:
+def derived_leaves(g: Graph) -> dict[int, int]:
     """Leaf -> parent for every leaf whose Brandes row `compute_load` takes
     from its neighbour's instead of a BFS: a degree-1 vertex whose neighbour
-    has degree >= 2 and is one of the held_cells // n neighbours with the
-    most such leaves (ties to the smaller index)."""
-    n = g.n_vertices
+    has degree >= 2."""
     deg = g.degrees()
-    up = {v: nbrs[0] for v, nbrs in enumerate(g.adjacency) if deg[v] == 1 and deg[nbrs[0]] >= 2}
-    kids = Counter(up.values())
-    held = set(sorted(kids, key=lambda u: (-kids[u], u))[: held_cells // n])
-    return {v: u for v, u in up.items() if u in held}
+    return {v: nbrs[0] for v, nbrs in enumerate(g.adjacency) if deg[v] == 1 and deg[nbrs[0]] >= 2}
 
 
 _BRUTE_FORCE_CAP = 16

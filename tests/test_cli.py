@@ -3,6 +3,7 @@ import importlib.util
 import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -111,6 +112,19 @@ def test_validation_errors_name_the_field():
     for value in ("inf", "nan"):
         with pytest.raises(ValidationError, match="^avg_degree: "):
             parse_plan(f"avg_degree = {value}\n")
+    for text, message in (
+        ("n = 1\n", "n: need at least 2 vertices"),
+        ("n = 3\navg_degree = 0.5\n", "avg_degree: resolves to zero edges"),
+        ("n = 4\navg_degree = 4\n", "avg_degree: exceeds the simple-graph maximum"),
+        ("warmup = -1\n", "warmup: must be >= 0"),
+        ("steps = 0\n", "steps: must be >= 1"),
+        ("calib_tol = 0\n", "calib_tol: must lie in (0, 1)"),
+        ("calib_tol = 1\n", "calib_tol: must lie in (0, 1)"),
+    ):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            parse_plan(text)
+    with pytest.raises(ValidationError, match="^steps: bad value 'abc'$"):
+        parse_plan("", {"steps": "abc"})
 
 
 @pytest.mark.parametrize("field, values, repeated", [
@@ -663,6 +677,40 @@ def test_sweep_rejects_a_missing_output_directory_before_any_cell(out, named, tm
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["sub", "x_avg.csv"]
 
 
+@pytest.mark.parametrize("command, flag, named", [
+    (["gen", "--alpha", "0.5", "--n", "30", "--out", "nodir/g.txt"], "--out", "nodir/g.txt"),
+    (["load", "--edges", "g.txt", "--out", "nodir/l.csv"], "--out", "nodir/l.csv"),
+    (["load", "--edges", "g.txt", "--out", "sub"], "--out", "sub"),
+    (["traffic", "--d", "0.5", "--bits", "10", "--out", "nodir/t.txt"], "--out", "nodir/t.txt"),
+    (["run", "--edges", "g.txt", "--d", "0.9", "--steps", "10", "--out", "nodir/r.csv"],
+     "--out", "nodir/r.csv"),
+    (["run", "--alpha", "0.5", "--n", "100", "--d", "0.9", "--queue-series", "nodir/q.csv"],
+     "--queue-series", "nodir/q.csv"),
+    (["sweep", "--kind", "fig34", "--n", "30", "--seeds", "0", "--out", "nodir/x.csv"],
+     "out", "nodir/x.csv"),
+])
+def test_every_command_checks_its_outputs_before_any_work(command, flag, named, tmp_path,
+                                                          monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "g.txt").write_text("# n=3 m=2\n0 1\n1 2\n")
+    assert main(command) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {flag}: ") and repr(named) in err
+    assert len(err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["g.txt", "sub"]
+
+
+def test_traffic_hurst_checks_bits_before_drawing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["traffic", "--d", "0.5", "--bits", "5000", "--out", "t.txt", "--hurst"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --bits: --hurst needs at least 100000 bits, got 5000\n"
+    assert not (tmp_path / "t.txt").exists()
+
+
 def test_sweep_config_file(tmp_path):
     cfg = tmp_path / "plan.cfg"
     out = tmp_path / "out.csv"
@@ -677,13 +725,16 @@ def test_exit_code_validation_error(capsys):
     assert main(["sweep", "--kind", "fig12", "--rho", "7", "--out", "x.csv"]) == 1
     assert main(["gen", "--alpha", "2", "--out", "x.txt"]) == 1  # alpha out of range
     assert main(["bogus-command"]) == 1
+    capsys.readouterr()
+    assert main(["sweep", "--kind", "fig12"]) == 1
+    assert capsys.readouterr().err == "error: out: no output path (use --out or config)\n"
 
 
 def test_exit_code_runtime_error(tmp_path, capsys):
     missing = tmp_path / "missing.txt"
     assert main(["run", "--edges", str(missing), "--d", "0.8", "--steps", "10"]) == 2
-    # a file error names its path, for a missing input and for an output in a
-    # missing directory
+    # a file error names its path, for a missing input; an output in a
+    # missing directory is named before any work (exit 1)
     assert capsys.readouterr().err == (
         f"runtime error: [Errno 2] No such file or directory: {str(missing)!r}\n"
     )
@@ -691,7 +742,7 @@ def test_exit_code_runtime_error(tmp_path, capsys):
     assert main(["load", "--edges", str(missing), "--out", str(tmp_path / "l.csv")]) == 2
     assert capsys.readouterr().err.count(str(missing)) == 2
     out = tmp_path / "nodir" / "g.txt"
-    assert main(["gen", "--alpha", "0.5", "--n", "30", "--out", str(out)]) == 2
+    assert main(["gen", "--alpha", "0.5", "--n", "30", "--out", str(out)]) == 1
     assert str(out) in capsys.readouterr().err
 
 

@@ -76,6 +76,8 @@ def test_graph_rejects_self_loops_duplicates_and_range():
         Graph(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         Graph(3, [(0, 3)])
+    with pytest.raises(ValueError, match="at least one vertex"):
+        Graph(0, [])
 
 
 def test_graph_adjacency_is_sorted_and_symmetric():
@@ -208,6 +210,8 @@ def test_powerlaw_fit_recovers_synthetic_exponent():
 def test_powerlaw_fit_insufficient_tail():
     with pytest.raises(InsufficientTail):
         fit_powerlaw_exponent({2: 100, 3: 50, 4: 10}, 2)
+    with pytest.raises(ValueError, match="k_min must be >= 1"):
+        fit_powerlaw_exponent({2: 100, 3: 50, 4: 10}, 0)
 
 
 # -- distances -------------------------------------------------------------------

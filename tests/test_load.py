@@ -113,10 +113,15 @@ def kernel_graphs() -> list[Graph]:
     return graphs
 
 
+def assert_matches_reference(load: np.ndarray, g: Graph, endpoints: bool = False) -> None:
+    """`load` equals the sequential reference up to float64 rounding."""
+    np.testing.assert_allclose(load, reference_load(g, endpoints), rtol=1e-12, atol=0.0)
+
+
 def test_matches_sequential_reference_bit_for_bit():
     for g in kernel_graphs():
         for endpoints in (False, True):
-            assert np.array_equal(compute_load(g, endpoints), reference_load(g, endpoints))
+            assert_matches_reference(compute_load(g, endpoints), g, endpoints)
 
 
 def test_cpl_from_one_pass_equals_dense_oracle():
@@ -124,7 +129,7 @@ def test_cpl_from_one_pass_equals_dense_oracle():
     for g in reachable:
         load, cpl = load_and_cpl(g)
         assert cpl == characteristic_path_length(all_pairs_hop_distances(g))
-        assert np.array_equal(load, reference_load(g))
+        assert_matches_reference(load, g)
     for g in (edgeless, single):
         with pytest.raises(NoReachablePairs) as dense:
             characteristic_path_length(all_pairs_hop_distances(g))
@@ -144,15 +149,15 @@ def test_hop_distances_equal_dense_rows():
 def test_geodesic_counts_beyond_exact_float64_raise():
     small = grid_graph(8, 8)
     for endpoints in (False, True):
-        assert np.array_equal(compute_load(small, endpoints), reference_load(small, endpoints))
+        assert_matches_reference(compute_load(small, endpoints), small, endpoints)
     # corner to corner of a 30 x 30 grid: C(58, 29) ~ 3.0e16 > 2**53 geodesics
     grid = grid_graph(30, 30)
     with pytest.raises(ValueError, match="exceed exact float64 range"):
         compute_load(grid)
-    # pendant leaves on two corners: the corners' rows are BFS'd for their
-    # leaves first, and the source the error names really overflows
+    # pendant leaves on two corners run no BFS of their own, and the source
+    # the error names really overflows
     leafy = Graph(902, grid.edges() + [(0, 900), (899, 901)])
-    assert derived_leaves(leafy, load_module._HELD_CELLS) == {900: 0, 901: 899}
+    assert derived_leaves(leafy) == {900: 0, 901: 899}
     with pytest.raises(ValueError, match="exceed exact float64 range") as err:
         compute_load(leafy)
     source = int(re.search(r"from source (\d+) ", str(err.value)).group(1))
@@ -187,12 +192,13 @@ def bfs_spy(monkeypatch) -> list[int]:
 
 
 def assert_leaf_path_exact(g: Graph, seen: list[int]) -> None:
-    """Load (both endpoint modes) and cpl equal their oracles, and every
-    source but the derived leaves is BFS'd exactly once."""
-    expect = sorted(set(range(g.n_vertices)) - derived_leaves(g, load_module._HELD_CELLS).keys())
+    """Load (both endpoint modes) matches the sequential reference, cpl
+    equals the dense oracle, and every source but the derived leaves is
+    BFS'd exactly once."""
+    expect = sorted(set(range(g.n_vertices)) - derived_leaves(g).keys())
     for endpoints in (False, True):
         seen.clear()
-        assert np.array_equal(compute_load(g, endpoints), reference_load(g, endpoints))
+        assert_matches_reference(compute_load(g, endpoints), g, endpoints)
         assert sorted(seen) == expect
     dist = all_pairs_hop_distances(g)
     if (dist > 0).any():
@@ -206,59 +212,35 @@ def test_leaf_rows_equal_sequential_reference(monkeypatch):
     # K2s {0, 1} and {2, 3}: a leaf whose neighbour is a leaf runs its BFS
     pairs = Graph(8, [(0, 1), (2, 3), (4, 5), (5, 6), (4, 6), (6, 7)])
     isolated = Graph(7, [(1, 2), (2, 3), (2, 4)])
+    # a hub with 200 leaves on a 4-cycle and a triangle: the leaves' entries
+    # at the hub sum dependencies of several neighbours
+    k = 200
+    hub = [(0, v) for v in range(1, k + 1)]
+    hub += [(0, k + 1), (k + 1, k + 2), (k + 2, k + 3), (k + 3, 0)]
+    hub += [(0, k + 4), (k + 4, k + 5), (k + 5, 0)]
     cases = [
         (star_graph(6), {v: 0 for v in range(1, 7)}),
         (caterpillar, {6: 0, 7: 0, 8: 2, 9: 3, 10: 3, 11: 3, 12: 5}),
         (path_graph(6), {0: 1, 5: 4}),  # both leaves hang on degree-2 vertices
         (pairs, {7: 6}),
         (isolated, {1: 2, 3: 2, 4: 2}),
+        (Graph(k + 6, hub), {v: 0 for v in range(1, k + 1)}),
     ]
     for g, derived in cases:
-        assert derived_leaves(g, load_module._HELD_CELLS) == derived
+        assert derived_leaves(g) == derived
         assert_leaf_path_exact(g, seen)
-    # one held row: it goes to 6, the one parent of a leaf, not to a K2 end
-    monkeypatch.setattr(load_module, "_HELD_CELLS", pairs.n_vertices)
-    assert_leaf_path_exact(pairs, seen)
-    assert 7 not in seen
+    # one source a block: a parent's row is a whole block
+    monkeypatch.setattr(load_module, "_BLOCK_CELLS", 1)
+    for g, _ in cases:
+        assert_leaf_path_exact(g, seen)
 
 
-def test_giants_with_few_held_rows_equal_sequential_reference(monkeypatch):
+def test_giant_leaf_rows_equal_sequential_reference(monkeypatch):
     seen = bfs_spy(monkeypatch)
     for g in kernel_graphs()[:3]:
-        n = g.n_vertices
-        monkeypatch.setattr(load_module, "_HELD_CELLS", 3 * n + n // 2)  # three rows
-        derived = derived_leaves(g, load_module._HELD_CELLS)
-        assert len(set(derived.values())) == 3
-        assert 0 < len(derived) < sum(1 for v in range(n) if g.degree(v) == 1)
+        derived = derived_leaves(g)
+        assert 0 < len(derived) == sum(1 for v in range(g.n_vertices) if g.degree(v) == 1)
         assert_leaf_path_exact(g, seen)
-
-
-def test_hub_leaves_fold_in_chunks_within_the_block_budget(monkeypatch):
-    # a hub with 200 leaves on a 4-cycle and a triangle: the leaves' rows
-    # fold neighbours of several dependencies
-    k = 200
-    edges = [(0, v) for v in range(1, k + 1)]
-    edges += [(0, k + 1), (k + 1, k + 2), (k + 2, k + 3), (k + 3, 0)]
-    edges += [(0, k + 4), (k + 4, k + 5), (k + 5, 0)]
-    g = Graph(k + 6, edges)
-    shapes: list[tuple[int, int]] = []
-    real = load_module._folds_skipping
-
-    def spy(terms, skip):
-        shapes.append(skip.shape)
-        return real(terms, skip)
-
-    monkeypatch.setattr(load_module, "_folds_skipping", spy)
-    seen = bfs_spy(monkeypatch)
-    for cells, rows in ((1000, 1000 // (k + 4)), (64, 1)):  # deg(hub) = k + 4
-        monkeypatch.setattr(load_module, "_BLOCK_CELLS", cells)
-        shapes.clear()
-        assert_leaf_path_exact(g, seen)
-        assert derived_leaves(g, load_module._HELD_CELLS) == {v: 0 for v in range(1, k + 1)}
-        # two compute_load calls and one load_and_cpl, k leaves each
-        assert sum(r for r, _ in shapes) == 3 * k
-        assert {d for _, d in shapes} == {k + 4}
-        assert max(r for r, _ in shapes) == rows
 
 
 def test_twice_networkx_betweenness():

@@ -289,6 +289,10 @@ def test_invariant_violation_survives_python_O():
 
 
 def test_inject_validation():
+    with pytest.raises(TooFewHosts, match="at least 2 hosts"):
+        SimState(path_graph(4), hosts=[0], traffic=None)
+    with pytest.raises(ValueError, match="distinct"):
+        SimState(path_graph(4), hosts=[0, 3, 0], traffic=None)
     st = SimState(path_graph(4), hosts=[0, 3], traffic=None)
     with pytest.raises(ValueError):
         st.inject(0, 1)  # 1 is not a host
@@ -335,6 +339,8 @@ def test_run_requires_connected_graph():
     g = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(ValueError):
         run(SimConfig(graph=g, rho=1.0, measure_steps=10))
+    with pytest.raises(ValueError, match="rho must lie in"):
+        SimConfig(graph=g, rho=0.0)
     # step counts that are not integers >= 0 are rejected up front
     for bad in ({"warmup_steps": 1.5}, {"warmup_steps": -1}, {"measure_steps": 2.0}):
         with pytest.raises(ValueError, match="steps"):

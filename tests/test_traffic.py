@@ -300,6 +300,8 @@ def test_hurst_preconditions():
         hurst_aggregated_variance(bits[:5000], [10, 100, 500, 1000])  # short series
     with pytest.raises(InsufficientData):
         hurst_aggregated_variance(np.ones(1_000_000), default_block_sizes())  # degenerate
+    with pytest.raises(InsufficientData, match="positive"):
+        hurst_aggregated_variance(bits, [0, 10, 100, 1000])
 
 
 def test_default_block_sizes_span():
