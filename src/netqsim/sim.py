@@ -13,7 +13,6 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -89,34 +88,37 @@ def assign_hosts(g: Graph, rho: float, seed: int) -> list[int]:
 
 
 def _route(cand: tuple[int, ...], counts_row: list[int], tie_rng: random.Random) -> int:
-    """Pick among the closer positions `cand`: least used link, then at random."""
+    """Pick among the closer positions `cand` of a tie: least used link, then
+    at random. The forwarding loop decides two-way ties itself, the same
+    way; this is the rule for three or more."""
+    best_c = min(counts_row[k] for k in cand)
+    cand = [k for k in cand if counts_row[k] == best_c]
     if len(cand) > 1:
-        best_c = min(counts_row[k] for k in cand)
-        cand = [k for k in cand if counts_row[k] == best_c]
-        if len(cand) > 1:
-            return cand[tie_rng.randrange(len(cand))]
+        return cand[tie_rng.randrange(len(cand))]
     return cand[0]
 
 
 def _route_tables(
     graph: Graph, hosts: list[int], dist: np.ndarray
-) -> list[list[tuple[int, ...]] | None]:
-    """Routes toward each host `dst`: entry v of its table holds the positions
-    in v's adjacency list of the neighbours one hop closer to dst, empty at
-    dst itself and out of its reach. Row i of `dist` holds the hop counts to
-    hosts[i]; the tables of other vertices are None.
+) -> tuple[list[list[int] | None], list[tuple[int, ...]]]:
+    """Routes toward each host: `(routes, ties)`. Entry v of `routes[dst]`
+    is an int: k >= 0 when the neighbour at position k of v's adjacency
+    list is the only one one hop closer to dst, and ~i when the closer
+    positions are the tuple `ties[i]`. `ties[0]` is (), the entry at dst
+    itself and out of its reach; every other tuple of `ties` is distinct.
+    Row i of `dist` holds the hop counts to hosts[i]; the tables of other
+    vertices are None.
 
     Built with numpy over the CSR slots, a block of host rows at a time.
-    Every entry is first a code into the shared entries: 0 for none, 1 + k
-    for the one neighbour at position k, and past those the tuples of
-    several positions, interned, so that equal entries are one object.
+    The entries are mapped through one object array of ints, so that
+    equal entries are one object.
     """
     n = graph.n_vertices
     deg, indptr, indices = _csr(graph)
     owner = np.repeat(np.arange(n), deg)
-    single: list[tuple[int, ...]] = [()] + [(k,) for k in range(int(deg.max()))]
-    shared: dict[tuple[int, ...], int] = {}
-    routes: list[list[tuple[int, ...]] | None] = [None] * n
+    shared: dict[tuple[int, ...], int] = {(): 0}  # tie tuple -> its index
+    entries = np.arange(-1, int(deg.max())).astype(object)  # entry e at e + len(shared)
+    routes: list[list[int] | None] = [None] * n
     rows = max(1, _ROUTE_BLOCK // indices.size)
     for r0 in range(0, len(hosts), rows):
         block = dist[r0 : r0 + rows]
@@ -128,29 +130,32 @@ def _route_tables(
         pos = slot - indptr.take(v)
         count = np.bincount(row * n + v, minlength=block.size)
         first = np.cumsum(count) - count  # each cell's first pair
-        code = np.zeros(block.size, dtype=np.intp)
+        code = np.full(block.size, -1, dtype=np.intp)
         one = np.flatnonzero(count == 1)
-        code[one] = pos.take(first.take(one)) + 1
+        code[one] = pos.take(first.take(one))
         multi = np.flatnonzero(count > 1)
         pos = pos.tolist()
-        code[multi] = len(single) + np.array(
+        known = len(shared)
+        code[multi] = ~np.array(
             [
                 shared.setdefault(tuple(pos[o : o + k]), len(shared))
                 for o, k in zip(first.take(multi).tolist(), count.take(multi).tolist())
             ],
             dtype=np.intp,
         )
-        entries = np.fromiter(
-            chain(single, shared), dtype=object, count=len(single) + len(shared)
-        )
+        if len(shared) > known:  # new ties go in front, the old objects stay
+            fresh = np.arange(-len(shared), -known).astype(object)
+            entries = np.concatenate([fresh, entries])
+        code += len(shared)
         for dst, codes in zip(hosts[r0 : r0 + rows], code.reshape(block.shape)):
             routes[dst] = entries.take(codes).tolist()
-    return routes
+    return routes, list(shared)
 
 
 class _Shared:
     """What the runs of one sweep share: source streams, and the layout
-    (sorted hosts and their route tables) of the last graph.
+    (sorted hosts, their route tables and the ties those index) of the last
+    graph.
 
     Stream (traffic, seed, i) is host i's source in a run of `seed`, child
     2 + i of SeedSequence(seed). Its spawn key does not depend on the number
@@ -186,7 +191,8 @@ class _Shared:
         return held[start - 8 * lo:]
 
     def layout(self, graph: Graph, hosts: list[int]):
-        """(sorted hosts, their `_route_tables`); the hosts must reach each other."""
+        """(sorted hosts, routes, ties): the hosts and their `_route_tables`;
+        the hosts must reach each other."""
         hosts = sorted(hosts)
         last = self._layout
         if last is None or last[0] is not graph or last[1] != hosts:
@@ -195,7 +201,7 @@ class _Shared:
             for h in hosts:  # reachability is transitive: one row decides every pair
                 if dist[0, h] == UNREACHABLE:
                     raise ValueError(f"hosts {hosts[0]} and {h} are in different components")
-            last = self._layout = (graph, hosts, _route_tables(graph, hosts, dist))
+            last = self._layout = (graph, hosts, *_route_tables(graph, hosts, dist))
         return last[1:]
 
 
@@ -217,8 +223,12 @@ class SimState:
     runs bit-reproducible.
 
     Routes are tabulated from one BFS per host, `_routes[dst][v]` for every
-    host `dst`; hosts must reach each other. Source bits and routes come
-    from a `_Shared` store, the state's own unless `_shared` is given.
+    host `dst`: the position in v's adjacency list of the one closer
+    neighbour, or ~i for the closer positions `_ties[i]` (see
+    `_route_tables`); hosts must reach each other. A forward decides a
+    two-way tie inline and a larger one with `_route`, by the same rule and
+    the same draws. Source bits and routes come from a `_Shared` store, the
+    state's own unless `_shared` is given.
     A queued packet is a tuple (id, src, dst, created_at); no record of a
     packet outlives its delivery. Under `check_invariants` only, each
     queue's pops are checked against its arrival order (the ids it keeps in
@@ -244,7 +254,7 @@ class SimState:
         if len(set(hosts)) != len(hosts) or not all(0 <= h < n for h in hosts):
             raise ValueError("hosts must be distinct vertex indices")
         shared = _Shared() if _shared is None else _shared
-        hosts, self._routes = shared.layout(graph, hosts)
+        hosts, self._routes, self._ties = shared.layout(graph, hosts)
 
         self.graph = graph
         self.hosts = hosts
@@ -333,6 +343,7 @@ class SimState:
         active = self._active
         adj = self._adj
         routes = self._routes
+        ties = self._ties
         counts = self.link_counts
         tie_rng = self._tie_rng
         getrandbits = self._dest_rng.getrandbits
@@ -379,9 +390,22 @@ class SimState:
                     if check and arrivals[node].popleft() != pkt[0]:
                         raise InvariantViolation(f"vertex {node} broke FIFO order")
                     dst = pkt[2]
-                    cand = routes[dst][node]
+                    k = routes[dst][node]
                     row = counts[node]
-                    k = cand[0] if len(cand) == 1 else _route(cand, row, tie_rng)
+                    if k < 0:
+                        cand = ties[~k]
+                        if len(cand) == 2:
+                            a, b = cand
+                            ca = row[a]
+                            cb = row[b]
+                            if ca < cb:
+                                k = a
+                            elif cb < ca:
+                                k = b
+                            else:
+                                k = cand[tie_rng.randrange(2)]
+                        else:
+                            k = _route(cand, row, tie_rng)
                     row[k] += 1
                     nxt = adj[node][k]
                     if nxt == dst:

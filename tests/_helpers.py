@@ -43,6 +43,13 @@ def grid_graph(rows: int, cols: int) -> Graph:
     return Graph(rows * cols, edges)
 
 
+def hypercube_graph(dim: int) -> Graph:
+    """The dim-cube: vertices are bit strings, edges flip one bit. The dim
+    neighbours of 0 are all one hop closer to 2**dim - 1."""
+    n = 1 << dim
+    return Graph(n, [(u, u | 1 << b) for u in range(n) for b in range(dim) if not u >> b & 1])
+
+
 def petersen_graph() -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
@@ -290,6 +297,16 @@ def reference_routes(g: Graph, hosts) -> list[list[tuple[int, ...]] | None]:
             for v, nbrs in enumerate(g.adjacency)
         ]
     return routes
+
+
+def decoded_routes(state: SimState) -> list[list[tuple[int, ...]] | None]:
+    """`state`'s route tables as `reference_routes` writes them: an entry
+    k >= 0 is (k,), an entry ~i the tie `state._ties[i]`."""
+    ties = state._ties
+    return [
+        None if table is None else [(k,) if k >= 0 else ties[~k] for k in table]
+        for table in state._routes
+    ]
 
 
 class ReferenceRun(NamedTuple):

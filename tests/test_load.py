@@ -118,7 +118,7 @@ def assert_matches_reference(load: np.ndarray, g: Graph, endpoints: bool = False
     np.testing.assert_allclose(load, reference_load(g, endpoints), rtol=1e-12, atol=0.0)
 
 
-def test_matches_sequential_reference_bit_for_bit():
+def test_matches_sequential_reference():
     for g in kernel_graphs():
         for endpoints in (False, True):
             assert_matches_reference(compute_load(g, endpoints), g, endpoints)

@@ -26,8 +26,9 @@ from netqsim.graphs import _hop_distances, all_pairs_hop_distances, characterist
 from netqsim.sim import _BLOCK_STEPS, SimState, _Shared
 from netqsim.traffic import ErramilliSource
 from _helpers import (
-    UnionFind, assert_equals_reference, brute_force_load, derived_leaves, floyd_warshall,
-    grid_graph, path_graph, reference_load, reference_routes, reference_run, star_graph,
+    UnionFind, assert_equals_reference, brute_force_load, decoded_routes, derived_leaves,
+    floyd_warshall, grid_graph, hypercube_graph, path_graph, reference_load, reference_routes,
+    reference_run, star_graph,
 )
 
 
@@ -179,10 +180,12 @@ def hub_graphs_and_hosts(draw) -> tuple[Graph, list[int], list[int]]:
 def test_route_tables_match_the_neighbour_scan(case, block):
     g, hosts, other = case
     with mock.patch.object(netqsim.sim, "_ROUTE_BLOCK", block):  # 1 to ~20 hosts a block
-        routes = SimState(g, hosts)._routes
+        state = SimState(g, hosts)
+    routes = decoded_routes(state)
     assert routes == reference_routes(g, hosts)
     assert all(routes[dst][v] == () for dst in hosts for v in other)
-    entries = [e for table in routes if table for e in table]
+    assert len(set(state._ties)) == len(state._ties)  # each tie listed once
+    entries = [e for table in state._routes if table for e in table]
     assert len({id(e) for e in entries}) == len(set(entries))  # equal entries interned
 
 
@@ -219,16 +222,23 @@ def test_checking_does_not_perturb_the_run(g, data, d, rho, seed):
 
 @st.composite
 def oracle_cases(draw) -> tuple[Graph, list[int]]:
-    """A path, star, grid or random connected graph, with 2 to 8 hosts."""
+    """A path, star, grid, hypercube or random connected graph, with 2 to 8
+    hosts. A dim-cube's hosts include 0 and the far corner 2**dim - 1, which
+    0 reaches over a tie of all its dim neighbours."""
+    cube = hypercube_graph(draw(st.integers(2, 4)))
     g = draw(st.one_of(
         st.builds(path_graph, st.integers(2, 12)),
         st.builds(star_graph, st.integers(1, 10)),
         st.builds(grid_graph, st.integers(2, 5), st.integers(2, 5)),
+        st.just(cube),
         connected_graphs(),
     ))
+    last = g.n_vertices - 1
     top = min(8, g.n_vertices)
-    hosts = draw(st.lists(st.integers(0, g.n_vertices - 1), min_size=2, max_size=top,
-                          unique=True))
+    if g is cube:
+        return g, [0, last] + draw(st.lists(st.integers(1, last - 1), max_size=top - 2,
+                                           unique=True))
+    hosts = draw(st.lists(st.integers(0, last), min_size=2, max_size=top, unique=True))
     return g, hosts
 
 

@@ -25,7 +25,8 @@ from netqsim import (
 from netqsim.graphs import all_pairs_hop_distances
 from netqsim.sim import InvariantViolation, SimState, _Shared
 from _helpers import (
-    assert_equals_reference, complete_graph, cycle_graph, path_graph, reference_run,
+    assert_equals_reference, complete_graph, cycle_graph, decoded_routes, path_graph,
+    reference_run,
 )
 
 
@@ -102,7 +103,7 @@ def test_route_tables_hold_the_closest_neighbours(alpha):
     )
     dist = all_pairs_hop_distances(g)
     hosts = assign_hosts(g, 0.3, 4)
-    st = SimState(g, hosts)
+    routes = decoded_routes(SimState(g, hosts))
     for dst in hosts:
         for v, nbrs in enumerate(g.adjacency):
             if v == dst:
@@ -110,8 +111,8 @@ def test_route_tables_hold_the_closest_neighbours(alpha):
             # reference: every neighbour at the minimum distance to dst
             best = min(dist[u, dst] for u in nbrs)
             expected = tuple(k for k, u in enumerate(nbrs) if dist[u, dst] == best)
-            assert st._routes[dst][v], (dst, v)
-            assert st._routes[dst][v] == expected, (dst, v)
+            assert routes[dst][v], (dst, v)
+            assert routes[dst][v] == expected, (dst, v)
 
 
 def test_shared_store_builds_routes_per_graph_and_hosts():
@@ -125,7 +126,9 @@ def test_shared_store_builds_routes_per_graph_and_hosts():
                      (graphs[1], [0, 5, 7]), (graphs[0], [0, 5, 7])]:
         st = SimState(g, hosts, _shared=shared)
         assert st.hosts == sorted(hosts)
-        assert st._routes == SimState(g, hosts)._routes
+        fresh = SimState(g, hosts)
+        assert st._routes == fresh._routes
+        assert st._ties == fresh._ties
 
 
 # -- stepping -------------------------------------------------------------------------
