@@ -10,6 +10,7 @@ rising delivery times; nothing is ever dropped.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -33,11 +34,10 @@ class TooFewHosts(ValueError):
 
 
 class InvariantViolation(AssertionError):
-    """A check of the packet accounting failed: the queue census or packet
-    conservation at the end of every block of steps in every run; under
-    `check_invariants=True` also those after every step, FIFO order at every
-    pop, and each delivered packet's delay against the hop distance from its
-    source. Raised, not asserted, so that it also runs under `python -O`."""
+    """A check of the packet accounting failed, in any run: a delivered
+    packet's delay against the hop distance from its source, or the queue
+    census or packet conservation at the end of a block of steps. Raised,
+    not asserted, so that it also runs under `python -O`."""
 
 
 @dataclass
@@ -48,7 +48,6 @@ class SimConfig:
     warmup_steps: int = 1000
     measure_steps: int = 10_000
     seed: int = 0
-    check_invariants: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rho <= 1.0:
@@ -154,8 +153,8 @@ def _route_tables(
 
 class _Shared:
     """What the runs of one sweep share: source streams, and the layout
-    (sorted hosts, their route tables and the ties those index) of the last
-    graph.
+    (sorted hosts, their route tables, the ties those index and the hop
+    distances to each host) of the last graph.
 
     Stream (traffic, seed, i) is host i's source in a run of `seed`, child
     2 + i of SeedSequence(seed). Its spawn key does not depend on the number
@@ -191,8 +190,9 @@ class _Shared:
         return held[start - 8 * lo:]
 
     def layout(self, graph: Graph, hosts: list[int]):
-        """(sorted hosts, routes, ties): the hosts and their `_route_tables`;
-        the hosts must reach each other."""
+        """(sorted hosts, routes, ties, hops): the hosts, their
+        `_route_tables`, and `hops[dst]` the list of hop counts from every
+        vertex to host dst; the hosts must reach each other."""
         hosts = sorted(hosts)
         last = self._layout
         if last is None or last[0] is not graph or last[1] != hosts:
@@ -201,7 +201,8 @@ class _Shared:
             for h in hosts:  # reachability is transitive: one row decides every pair
                 if dist[0, h] == UNREACHABLE:
                     raise ValueError(f"hosts {hosts[0]} and {h} are in different components")
-            last = self._layout = (graph, hosts, *_route_tables(graph, hosts, dist))
+            hops = dict(zip(hosts, dist.tolist()))
+            last = self._layout = (graph, hosts, *_route_tables(graph, hosts, dist), hops)
         return last[1:]
 
 
@@ -230,9 +231,9 @@ class SimState:
     the same draws. Source bits and routes come from a `_Shared` store, the
     state's own unless `_shared` is given.
     A queued packet is a tuple (id, src, dst, created_at); no record of a
-    packet outlives its delivery. Under `check_invariants` only, each
-    queue's pops are checked against its arrival order (the ids it keeps in
-    `_arrivals`), and each delivery against the hop distance from src.
+    packet outlives its delivery. Every delivery is checked against the hop
+    distance from src, read from `_hops[dst]`, the BFS rows the routes were
+    built from.
 
     Counters are totals since clock 0, `delay_total` the delivery steps summed
     over delivered packets; `run` takes its window as a difference of totals.
@@ -244,23 +245,24 @@ class SimState:
         hosts: list[int],
         traffic: ErramilliParams | None = None,
         seed: int = 0,
-        check_invariants: bool = False,
         _shared: _Shared | None = None,
     ):
         _check_int("seed", seed, 0)
         n = graph.n_vertices
         if len(hosts) < 2:
             raise TooFewHosts("need at least 2 hosts")
+        for h in hosts:
+            if isinstance(h, bool) or not isinstance(h, numbers.Integral):
+                raise ValueError(f"hosts must be integer vertex indices, got {h!r}")
         if len(set(hosts)) != len(hosts) or not all(0 <= h < n for h in hosts):
             raise ValueError("hosts must be distinct vertex indices")
         shared = _Shared() if _shared is None else _shared
-        hosts, self._routes, self._ties = shared.layout(graph, hosts)
+        hosts, self._routes, self._ties, self._hops = shared.layout(graph, hosts)
 
         self.graph = graph
         self.hosts = hosts
         self._host_set = set(hosts)
         self._adj = graph.adjacency
-        self._check = check_invariants
 
         dest_ss, tie_ss = np.random.SeedSequence(seed).spawn(2)
         self._dest_rng = random.Random(int(dest_ss.generate_state(1)[0]))
@@ -272,12 +274,6 @@ class SimState:
         self.link_counts: list[list[int]] = [[0] * len(nbrs) for nbrs in self._adj]
         self._generated_at = [0] * n
         self._active: set[int] = set()
-
-        # Under checking: queue ids in arrival order, hop counts to each host.
-        self._host_dist = (
-            dict(zip(hosts, _hop_distances(graph, hosts))) if check_invariants else None
-        )
-        self._arrivals = [deque() for _ in range(n)] if check_invariants else None
         self.clock = 0
         self.generated_total = 0
         self.delivered_total = 0
@@ -297,8 +293,6 @@ class SimState:
         if src == dst:
             raise ValueError("src and dst must differ")
         pid = self.generated_total
-        if self._check:
-            self._arrivals[src].append(pid)
         q = self._queues[src]
         q.append((pid, src, dst, self.clock))
         self._active.add(src)
@@ -326,9 +320,9 @@ class SimState:
         Each host's bits for the block are read up front, those of steps
         clock .. clock + count - 1 of its stream, and hosts still spawn in
         ascending order within a step. The counters live in locals for the
-        block and are stored back when it ends or raises. A block that ends
-        checks the queue census and packet conservation, O(N), whether or
-        not `check_invariants` is set.
+        block and are stored back when it ends or raises. Each delivery is
+        checked against the hop-distance lower bound, one lookup, and a block
+        that ends checks the queue census and packet conservation, O(N).
         """
         hosts = self.hosts
         generated_at = self._generated_at
@@ -350,9 +344,7 @@ class SimState:
         others = len(hosts) - 1
         width = others.bit_length()
         series = self.queue_series
-        check = self._check
-        arrivals = self._arrivals
-        host_dist = self._host_dist
+        hops = self._hops
 
         t = self.clock
         pid = self.generated_total
@@ -377,8 +369,6 @@ class SimState:
                     active.add(h)
                     if len(q) > max_queue:
                         max_queue = len(q)
-                    if check:
-                        arrivals[h].append(pid)
                     pid += 1
                 in_flight += len(on_hosts)
 
@@ -387,8 +377,6 @@ class SimState:
                     pkt = q.popleft()
                     if not q:
                         active.discard(node)
-                    if check and arrivals[node].popleft() != pkt[0]:
-                        raise InvariantViolation(f"vertex {node} broke FIFO order")
                     dst = pkt[2]
                     k = routes[dst][node]
                     row = counts[node]
@@ -410,9 +398,10 @@ class SimState:
                     nxt = adj[node][k]
                     if nxt == dst:
                         delivered += 1
-                        delay += t + 1 - pkt[3]
+                        wait = t + 1 - pkt[3]
+                        delay += wait
                         in_flight -= 1
-                        if check and t + 1 - pkt[3] < host_dist[dst][pkt[1]]:
+                        if wait < hops[dst][pkt[1]]:
                             raise InvariantViolation(
                                 f"packet {pkt[0]} beat the hop-distance lower bound"
                             )
@@ -422,13 +411,9 @@ class SimState:
                         active.add(nxt)
                         if len(q) > max_queue:
                             max_queue = len(q)
-                        if check:
-                            arrivals[nxt].append(pkt[0])
 
                 t += 1
                 series.append(in_flight)
-                if check:
-                    self._assert_invariants(pid, delivered, in_flight)
             self._assert_invariants(pid, delivered, in_flight)
         finally:
             self.clock = t
@@ -460,7 +445,6 @@ def run(config: SimConfig, _shared: _Shared | None = None) -> SimMetrics:
         assign_hosts(g, config.rho, config.seed),
         traffic=config.traffic,
         seed=config.seed,
-        check_invariants=config.check_invariants,
         _shared=_shared,
     )
     state.run_steps(config.warmup_steps)

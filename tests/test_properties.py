@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import netqsim.graphs
 import netqsim.load
@@ -15,12 +15,9 @@ from netqsim import (
     ErramilliParams,
     Graph,
     NoReachablePairs,
-    SimConfig,
     compute_load,
     giant_component,
     load_and_cpl,
-    measure_load_proxy,
-    run,
 )
 from netqsim.graphs import _hop_distances, all_pairs_hop_distances, characteristic_path_length
 from netqsim.sim import _BLOCK_STEPS, SimState, _Shared
@@ -189,37 +186,6 @@ def test_route_tables_match_the_neighbour_scan(case, block):
     assert len({id(e) for e in entries}) == len(set(entries))  # equal entries interned
 
 
-@settings(max_examples=60)
-@given(
-    g=connected_graphs(),
-    data=st.data(),
-    d=st.floats(0.3, 0.95),
-    rho=st.floats(0.2, 1.0),
-    seed=st.integers(0, 2**16),
-)
-def test_checking_does_not_perturb_the_run(g, data, d, rho, seed):
-    traffic = ErramilliParams(2.0, 2.0, d)
-    hosts = data.draw(st.lists(st.integers(0, g.n_vertices - 1), min_size=2, unique=True))
-    states = []
-    for check in (False, True):  # the checked run raises on any breach
-        state = SimState(g, hosts, traffic=traffic, seed=seed, check_invariants=check)
-        state.run_steps(150)
-        state.run_steps(250)
-        states.append(state)
-    plain, checked = states
-    for name in ("clock", "generated_total", "delivered_total", "delay_total", "in_flight",
-                 "max_queue", "queue_series", "link_counts"):
-        assert getattr(plain, name) == getattr(checked, name), name
-    assert np.array_equal(measure_load_proxy(plain), measure_load_proxy(checked))
-    if math.floor(rho * g.n_vertices + 0.5) >= 2:  # assign_hosts' count
-        metrics = [
-            run(SimConfig(graph=g, rho=rho, traffic=traffic, warmup_steps=50,
-                          measure_steps=200, seed=seed, check_invariants=check))
-            for check in (False, True)
-        ]
-        assert repr(metrics[0]) == repr(metrics[1])
-
-
 @st.composite
 def oracle_cases(draw) -> tuple[Graph, list[int]]:
     """A path, star, grid, hypercube or random connected graph, with 2 to 8
@@ -243,6 +209,9 @@ def oracle_cases(draw) -> tuple[Graph, list[int]]:
 
 
 @settings(max_examples=50)
+# whatever the hypothesis seed, ties of three and of four closer neighbours
+@example(case=(hypercube_graph(3), [0, 7]), d=0.5, seed=1, steps=_BLOCK_STEPS + 1, first=0)
+@example(case=(hypercube_graph(4), [0, 15]), d=0.5, seed=2, steps=_BLOCK_STEPS + 1, first=0)
 @given(
     case=oracle_cases(),
     d=st.floats(0.3, 0.95),

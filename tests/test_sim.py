@@ -134,7 +134,7 @@ def test_shared_store_builds_routes_per_graph_and_hosts():
 # -- stepping -------------------------------------------------------------------------
 
 def test_idle_step_only_advances_clock():
-    st = SimState(path_graph(4), hosts=[0, 3], traffic=None, check_invariants=True)
+    st = SimState(path_graph(4), hosts=[0, 3], traffic=None)
     st.run_steps(5)
     assert st.clock == 5
     assert st.generated_total == 0 and st.delivered_total == 0
@@ -152,14 +152,14 @@ def delivery_totals(st: SimState, steps: int) -> list[tuple[int, int]]:
 
 def test_single_packet_delivered_in_hop_distance_steps():
     g = path_graph(6)
-    st = SimState(g, hosts=[0, 5], traffic=None, check_invariants=True)
+    st = SimState(g, hosts=[0, 5], traffic=None)
     assert st.inject(0, 5) == 0
     assert delivery_totals(st, 10) == [(0, 0)] * 4 + [(1, 5)] * 6
 
 
 def test_one_departure_per_node_per_step():
     g = path_graph(3)
-    st = SimState(g, hosts=[0, 2], traffic=None, check_invariants=True)
+    st = SimState(g, hosts=[0, 2], traffic=None)
     st.inject(0, 2)
     st.inject(0, 2)
     st.step()
@@ -171,7 +171,7 @@ def test_one_departure_per_node_per_step():
 
 def test_fifo_discipline_preserves_order():
     g = path_graph(4)
-    st = SimState(g, hosts=[0, 3], traffic=None, check_invariants=True)
+    st = SimState(g, hosts=[0, 3], traffic=None)
     assert [st.inject(0, 3) for _ in range(5)] == [0, 1, 2, 3, 4]
     # ids queued at vertices 0, 1, 2 and (delivered, delay) totals after
     # each step: packet i leaves first in step i + 1 and arrives at i + 3
@@ -196,7 +196,7 @@ def test_arrivals_wait_for_next_step():
     # the packet must not ride more than one hop per step even through
     # nodes whose queues were empty this step
     g = path_graph(5)
-    st = SimState(g, hosts=[0, 4], traffic=None, check_invariants=True)
+    st = SimState(g, hosts=[0, 4], traffic=None)
     st.inject(0, 4)
     st.step()
     assert st.queue_length(1) == 1 and st.queue_length(2) == 0
@@ -230,31 +230,17 @@ def test_run_steps_block_equals_single_steps():
 
 
 def test_invariant_violation_is_raised():
+    # step() runs a one-step block, so the block-end census follows each step
     assert issubclass(InvariantViolation, AssertionError)
-    st = SimState(path_graph(4), hosts=[0, 3], traffic=None, check_invariants=True)
+    st = SimState(path_graph(4), hosts=[0, 3], traffic=None)
     st.inject(0, 3)
     st.step()
     st.in_flight += 1
     with pytest.raises(InvariantViolation, match="census"):
         st.step()
 
-    st = SimState(path_graph(4), hosts=[0, 3], traffic=None, check_invariants=True)
-    st.inject(0, 3)
-    q = st._queues[0]
-    q[0] = q[0][:3] + (q[0][3] + 1,)  # created_at raised: three hops in two steps
-    with pytest.raises(InvariantViolation, match="lower bound"):
-        st.run_steps(3)
 
-    st = SimState(path_graph(4), hosts=[0, 3], traffic=None, check_invariants=True)
-    st.inject(0, 3)
-    st.inject(0, 3)
-    q = st._queues[0]
-    q[0], q[1] = q[1], q[0]  # the second arrival now leaves first
-    with pytest.raises(InvariantViolation, match="FIFO"):
-        st.step()
-
-
-def test_block_end_checks_the_accounting_without_check_invariants():
+def test_every_run_checks_the_accounting():
     st = SimState(path_graph(4), hosts=[0, 3], traffic=None)
     st.inject(0, 3)
     st._queues[1].append((7, 0, 3, 0))  # a packet no host generated
@@ -267,6 +253,13 @@ def test_block_end_checks_the_accounting_without_check_invariants():
     with pytest.raises(InvariantViolation, match="conservation"):
         st.step()
 
+    st = SimState(path_graph(4), hosts=[0, 3], traffic=None)
+    st.inject(0, 3)
+    q = st._queues[0]
+    q[0] = q[0][:3] + (q[0][3] + 1,)  # created_at raised: three hops in two steps
+    with pytest.raises(InvariantViolation, match="lower bound"):
+        st.run_steps(3)
+
 
 def test_invariant_violation_survives_python_O():
     code = (
@@ -274,7 +267,7 @@ def test_invariant_violation_survives_python_O():
         "from netqsim import Graph\n"
         "from netqsim.sim import SimState\n"
         "g = Graph(4, [(0, 1), (1, 2), (2, 3)])\n"
-        "st = SimState(g, [0, 3], traffic=None, check_invariants=True)\n"
+        "st = SimState(g, [0, 3], traffic=None)\n"
         "st.inject(0, 3)\n"
         "st.step()\n"
         "st.in_flight += 1\n"
@@ -296,6 +289,10 @@ def test_inject_validation():
         SimState(path_graph(4), hosts=[0], traffic=None)
     with pytest.raises(ValueError, match="distinct"):
         SimState(path_graph(4), hosts=[0, 3, 0], traffic=None)
+    for hosts, bad in (([0, 2.5], "2.5"), ([0.0, 3], "0.0"), ([0, True], "True")):
+        with pytest.raises(ValueError, match=rf"^hosts .* got {bad}$"):
+            SimState(path_graph(4), hosts=hosts, traffic=None)
+    assert SimState(path_graph(4), hosts=np.array([3, 0]), traffic=None).hosts == [0, 3]
     st = SimState(path_graph(4), hosts=[0, 3], traffic=None)
     with pytest.raises(ValueError):
         st.inject(0, 1)  # 1 is not a host
@@ -312,7 +309,7 @@ def test_generated_packets_target_other_hosts():
     # simulator's queued ones are every packet generated
     g = complete_graph(5)
     traffic = ErramilliParams(1.5, 1.5, 0.3)
-    st = SimState(g, hosts=[0, 1, 2], traffic=traffic, seed=6, check_invariants=True)
+    st = SimState(g, hosts=[0, 1, 2], traffic=traffic, seed=6)
     st.run_steps(200)
     ref = reference_run(g, [0, 1, 2], traffic, 6, 200)
     assert_equals_reference(st, ref)
@@ -327,15 +324,13 @@ def test_generated_packets_target_other_hosts():
 # -- full runs ---------------------------------------------------------------------------
 
 def test_inject_returns_the_next_packet_id():
-    # no per-packet log is kept, checked or not: a queued tuple is all there is
-    for check in (False, True):
-        st = SimState(path_graph(4), hosts=[0, 3], traffic=ErramilliParams(2.0, 2.0, 0.5),
-                      check_invariants=check)
-        st.run_steps(50)
-        assert not hasattr(st, "packets")
-        pid = st.inject(0, 3)
-        assert pid == st.generated_total - 1 > 0
-        assert st._queues[0][-1] == (pid, 0, 3, 50)
+    # no per-packet log is kept: a queued tuple is all there is
+    st = SimState(path_graph(4), hosts=[0, 3], traffic=ErramilliParams(2.0, 2.0, 0.5))
+    st.run_steps(50)
+    assert not hasattr(st, "packets")
+    pid = st.inject(0, 3)
+    assert pid == st.generated_total - 1 > 0
+    assert st._queues[0][-1] == (pid, 0, 3, 50)
 
 
 def test_run_requires_connected_graph():
@@ -355,7 +350,7 @@ def test_hosts_must_be_mutually_reachable():
     with pytest.raises(ValueError, match="different components"):
         SimState(g, [0, 2])
     # a component without hosts does not matter
-    st = SimState(g, [0, 1], traffic=None, check_invariants=True)
+    st = SimState(g, [0, 1], traffic=None)
     st.inject(0, 1)
     st.run_steps(2)
     assert st.delivered_total == 1
@@ -372,9 +367,8 @@ def test_conservation_and_delivery_bound_under_load():
         warmup_steps=100,
         measure_steps=400,
         seed=11,
-        check_invariants=True,  # asserts conservation and queue census per step
     )
-    metrics = run(cfg)
+    metrics = run(cfg)  # raises on a delivery under its hop distance or a bad census
     assert metrics.generated_total == metrics.delivered_total + metrics.in_flight_at_end
     assert metrics.generated > 0 and metrics.delivered > 0
 
@@ -383,7 +377,7 @@ def test_delivery_times_at_least_hop_distance():
     g = cycle_graph(9)
     dist = all_pairs_hop_distances(g)
     traffic = ErramilliParams(1.5, 1.5, 0.5)
-    st = SimState(g, hosts=list(range(9)), traffic=traffic, seed=4, check_invariants=True)
+    st = SimState(g, hosts=list(range(9)), traffic=traffic, seed=4)
     st.run_steps(500)
     ref = reference_run(g, range(9), traffic, 4, 500)
     assert_equals_reference(st, ref)
@@ -442,8 +436,7 @@ def test_k4_all_hosts_delivers_in_one_hop():
     # vertex ever relays transit traffic and delivery takes >= 1 step
     g = complete_graph(4)
     st = SimState(g, hosts=list(range(4)),
-                  traffic=ErramilliParams(1.5, 1.5, 0.8), seed=3,
-                  check_invariants=True)
+                  traffic=ErramilliParams(1.5, 1.5, 0.8), seed=3)
     st.run_steps(300)
     assert st.delivered_total > 0
     assert np.all(measure_load_proxy(st) == 0)
