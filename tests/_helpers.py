@@ -231,15 +231,26 @@ def brute_force_load(g: Graph, include_endpoints: bool = False) -> np.ndarray:
 def map_step(p: ErramilliParams, x: float) -> float:
     """One application of the intermittency map; the first branch covers [0, d].
 
+    Exponent 2 is computed as y * y with the scale folded into one
+    constant, as the source's kernel does; other exponents use `**`.
     Clamped into [0, 1] to absorb floating-point overshoot at the branch
     ends (mathematically the image already lies in [0, 1]).
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x={x} outside [0, 1]")
-    if x <= p.d:
-        y = x + (1.0 - p.d) * (x / p.d) ** p.m1
+    d = p.d
+    omd = 1.0 - d
+    if x <= d:
+        if p.m1 == 2.0:
+            y = x + omd / (d * d) * x * x
+        else:
+            y = x + omd * (x / d) ** p.m1
     else:
-        y = x - p.d * ((1.0 - x) / (1.0 - p.d)) ** p.m2
+        u = 1.0 - x
+        if p.m2 == 2.0:
+            y = x - d / (omd * omd) * u * u
+        else:
+            y = x - d * (u / omd) ** p.m2
     return min(max(y, 0.0), 1.0)
 
 

@@ -118,6 +118,120 @@ def test_endpoint_traps_are_left_on_their_own_side():
         assert src.x == ref.x and 0.0 < src.x < 1.0
 
 
+# the m = 2 kernel, `**` on both branches, and either branch at exponent 2
+# with `**` on the other
+MAP_PAIRS = [(2.0, 2.0), (1.5, 1.5), (2.0, 1.5), (1.75, 2.0)]
+
+
+@pytest.mark.parametrize("m1, m2", MAP_PAIRS)
+@pytest.mark.parametrize("d", [0.96875, 0.8125, 0.5])
+@pytest.mark.parametrize("start", ["off", "on"])
+def test_kernel_equals_the_scalar_reference(m1, m2, d, start):
+    p = ErramilliParams(m1, m2, d)
+    ref, whole, split, count = (ErramilliSource(p, seed=17, burn_in=0) for _ in range(4))
+    for src in (ref, whole, split, count):
+        src.x = 0.5 * d if start == "off" else d + 0.5 * (1.0 - d)
+    n = 20_000
+    expected = np.array([advance(ref) > d for _ in range(n)], dtype=np.uint8)
+    assert np.array_equal(whole.bits(n), expected)
+    # the kernel carries its regime from one call to the next only in x
+    sizes = [0, 1, 2, 4093, 1, 8192]
+    parts = [split.bits(k) for k in sizes + [n - sum(sizes)]]
+    assert np.array_equal(np.concatenate(parts), expected)
+    assert count.on_count(n) == int(expected.sum())
+    for src in (whole, split, count):
+        assert src.x == ref.x
+        assert src.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("d, start", [(1e-13, 2e-12), (1.0 - 2.0**-45, 1.0 - 2e-12)])
+def test_kernel_equals_the_scalar_reference_when_d_lies_in_a_trap(d, start):
+    # d within _ENDPOINT_EPS of 0 (1): an orbit creeping from `start` toward
+    # d enters the trap on its own side of d and is redrawn there
+    p = ErramilliParams(2.0, 2.0, d)
+    ref, src = (ErramilliSource(p, seed=5, burn_in=0) for _ in range(2))
+    ref.x = src.x = start
+    expected = np.array([advance(ref) > d for _ in range(5000)], dtype=np.uint8)
+    assert np.array_equal(src.bits(5000), expected)
+    assert src.x == ref.x
+    assert 0 < expected.sum() < expected.size
+
+
+class _Draws:
+    """Stands in for a source's generator: random() returns the given values
+    in order, and counts them."""
+
+    def __init__(self, *values):
+        self.values = values
+        self.drawn = 0
+
+    def random(self):
+        self.drawn += 1
+        return self.values[self.drawn - 1]
+
+
+def _stub_sources(monkeypatch, p, *values):
+    """A source and its reference, each starting from values[0] and drawing
+    the rest of `values`."""
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _Draws(*values))
+    return ErramilliSource(p, burn_in=0), ErramilliSource(p, burn_in=0)
+
+
+def _agree_with_the_reference(src, ref, steps):
+    expected = [int(advance(ref) > ref.params.d) for _ in range(steps)]
+    assert src.bits(steps).tolist() == expected
+    assert src.x == ref.x
+    assert src.rng.drawn == ref.rng.drawn
+    return expected
+
+
+@pytest.mark.parametrize("m1, m2", MAP_PAIRS)
+@pytest.mark.parametrize("redraws", [(0.5,), (1e-14, 0.5)])
+def test_a_start_within_eps_of_zero_is_redrawn_after_its_step(monkeypatch, m1, m2, redraws):
+    # a redraw that lands within _ENDPOINT_EPS of 0 again is redrawn again
+    p = ErramilliParams(m1, m2, 0.5)
+    src, ref = _stub_sources(monkeypatch, p, 1e-14, *redraws)
+    assert _agree_with_the_reference(src, ref, 4)[0] == 0
+    assert src.rng.drawn == 1 + len(redraws)
+
+
+def _last_float(pred, lo, hi):
+    """The largest float in [lo, hi) where the monotone `pred` holds, given
+    pred(lo) and not pred(hi)."""
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if pred(mid) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("m1, m2", MAP_PAIRS)
+@pytest.mark.parametrize("side", ["off", "on"])
+def test_a_step_across_d_into_an_endpoint_trap_is_redrawn(monkeypatch, m1, m2, side):
+    # an Off step from just below d lands within _ENDPOINT_EPS of 1, and an
+    # On step from just above d within it of 0; either is redrawn on its
+    # own side, whether it is a run's first step or a later one
+    p = ErramilliParams(m1, m2, 0.5)
+    d = p.d
+    if side == "off":
+        before = _last_float(lambda x: map_step(p, x) < d, 0.0, d)
+    else:
+        before = math.nextafter(
+            _last_float(lambda x: map_step(p, x) <= d, math.nextafter(d, 1.0), 1.0), 1.0
+        )
+    near = map_step(p, before)
+    eps = netqsim.traffic._ENDPOINT_EPS
+    if side == "off":
+        assert near < d and map_step(p, near) >= 1.0 - eps
+    else:
+        assert near > d and map_step(p, near) <= eps
+    # a second redraw that lands in the same trap again
+    again = 1.0 - 2.0**-53 if side == "off" else 1e-14
+    for start in (before, near):
+        for redraws in ((0.5,), (again, 0.5)):
+            src, ref = _stub_sources(monkeypatch, p, start, *redraws)
+            _agree_with_the_reference(src, ref, 5)
+            assert src.rng.drawn == 1 + len(redraws)
+
+
 @pytest.mark.parametrize("method", ["bits", "on_count"])
 def test_negative_count_names_the_count(method):
     src = ErramilliSource(ErramilliParams(), seed=1)
@@ -265,10 +379,10 @@ def test_default_grid_calibrates_to_pinned_d():
         for lam in plan.lambdas
     }
     assert d == {
-        0.005: 0.9687499990624999,
+        0.005: 0.98437499903125,
         0.01: 0.9687499990624999,
-        0.02: 0.9374999991249999,
-        0.05: 0.8945312492109374,
+        0.02: 0.9687499990624999,
+        0.05: 0.898437499203125,
         0.1: 0.812499999375,
     }
 
