@@ -11,10 +11,7 @@ from .graphs import (
     AttemptBudgetExceeded,
     GenParams,
     Graph,
-    InsufficientTail,
     NoReachablePairs,
-    degree_histogram,
-    fit_powerlaw_exponent,
     generate_static_model,
     giant_component,
     read_edge_list,
@@ -45,7 +42,6 @@ from .traffic import (
     default_block_sizes,
     estimate_rate,
     hurst_aggregated_variance,
-    read_bit_trace,
     write_bit_trace,
 )
 

@@ -374,18 +374,19 @@ def _cmd_load(args) -> int:
 
 
 def _resolve_d(args) -> tuple[float, float]:
-    """Threshold d from --d, or calibrated to --target-lambda; also the
-    target rate (nan for --d)."""
+    """Threshold d from --d, or calibrated to --target-lambda within --tol
+    (the plan's default when not given); also the target rate (nan for --d)."""
     if args.d is not None:
         return args.d, float("nan")
-    d = calibrate_d(
-        args.m1, args.m2, args.target_lambda, tol=args.tol, seed=_CALIBRATION_SEED
-    )
+    tol = ExperimentPlan.calib_tol if args.tol is None else args.tol
+    d = calibrate_d(args.m1, args.m2, args.target_lambda, tol=tol, seed=_CALIBRATION_SEED)
     return d, args.target_lambda
 
 
 def _cmd_traffic(args) -> int:
     _check_seed(args.seed)  # a bad seed is named before any flag conflict
+    if args.tol is not None and args.target_lambda is None:
+        raise ValidationError("--tol requires --target-lambda")
     if args.bits is None:
         for flag in ("hurst", "out"):
             if getattr(args, flag):
@@ -422,8 +423,14 @@ def _cmd_traffic(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.tol is not None and args.target_lambda is None:
+        raise ValidationError("--tol requires --target-lambda")
     _check_out("--out", args.out)
     _check_out("--queue-series", args.queue_series)
+    if args.out and args.queue_series and (
+        os.path.realpath(args.out) == os.path.realpath(args.queue_series)
+    ):
+        raise ValidationError(f"--out and --queue-series: both name {args.out!r}")
     if args.edges is not None:  # argparse makes it exclusive of --alpha
         g, meta = read_edge_list(args.edges)
         alpha = meta.get("alpha", float("nan"))
@@ -502,13 +509,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _add_source_args(p: argparse.ArgumentParser) -> None:
-    """Map exponents plus exactly one of --d / --target-lambda (see _resolve_d)."""
+    """Map exponents, exactly one of --d / --target-lambda, and its --tol (see _resolve_d)."""
     p.add_argument("--m1", type=float, default=2.0)
     p.add_argument("--m2", type=float, default=2.0)
     threshold = p.add_mutually_exclusive_group(required=True)
     threshold.add_argument("--d", type=float)
     threshold.add_argument("--target-lambda", type=float)
-    p.add_argument("--tol", type=float, default=0.01)
+    p.add_argument("--tol", type=float)
 
 
 def _build_parser() -> _Parser:

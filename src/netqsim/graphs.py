@@ -1,4 +1,4 @@
-"""Graph generation along the random-to-scale-free continuum plus structural statistics.
+"""Graph generation along the random-to-scale-free continuum, giant component, hop distances.
 
 The generator draws edge endpoints with probability proportional to the fixed
 vertex fitness (i+1)**-alpha, so alpha=0 degenerates to a uniform G(N, M)
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
@@ -26,14 +25,11 @@ UNREACHABLE = -1
 _MAX_BATCH = 4096
 # Cells (source row, vertex) per block of _hop_distances.
 _BFS_CELLS = 1 << 16
+_REJECTS_PER_EDGE = 200  # consecutive rejected draws, per edge asked for, before giving up
 
 
 class AttemptBudgetExceeded(RuntimeError):
     """Edge placement stalled: too many consecutive rejected draws."""
-
-
-class InsufficientTail(ValueError):
-    """Not enough distinct degrees above the fitting cutoff."""
 
 
 class NoReachablePairs(ValueError):
@@ -66,10 +62,6 @@ class GenParams:
             )
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-
-    @property
-    def mean_degree(self) -> float:
-        return 2.0 * self.n_edges / self.n_vertices
 
     @classmethod
     def from_avg_degree(
@@ -111,12 +103,6 @@ class Graph:
     def n_edges(self) -> int:
         return sum(len(nbrs) for nbrs in self.adjacency) // 2
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
-    def degrees(self) -> list[int]:
-        return [len(nbrs) for nbrs in self.adjacency]
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted."""
         return [(u, v) for u in range(self.n_vertices) for v in self.adjacency[u] if u < v]
@@ -130,21 +116,19 @@ class Graph:
         return f"Graph(n_vertices={self.n_vertices}, n_edges={self.n_edges})"
 
 
-def generate_static_model(params: GenParams, attempt_budget: int | None = None) -> Graph:
+def generate_static_model(params: GenParams) -> Graph:
     """Draw a graph with fixed vertex fitnesses until n_edges edges are placed.
 
     Each endpoint is sampled by inverse-CDF lookup in the precomputed
     cumulative weight table (weights are constant, so the table is built
     once). Draws that hit a self-pair or an existing edge are rejected;
-    after `attempt_budget` consecutive rejections (default 200 * n_edges)
-    the run aborts instead of hanging on unplaceable parameter combos.
+    after `_REJECTS_PER_EDGE * n_edges` consecutive rejections the run
+    aborts instead of hanging on unplaceable parameter combos.
 
     Deterministic for a given (params, seed): the PRNG is numpy's default
     PCG64 seeded with params.seed, consumed in a fixed batch schedule.
     """
     n, m = params.n_vertices, params.n_edges
-    if attempt_budget is None:
-        attempt_budget = 200 * m
     rng = np.random.default_rng(params.seed)
     weights = np.arange(1, n + 1, dtype=np.float64) ** -params.alpha
     cum = np.cumsum(weights)
@@ -163,7 +147,7 @@ def generate_static_model(params: GenParams, attempt_budget: int | None = None) 
                 u, v = v, u
             if u == v or (u, v) in edges:
                 failures += 1
-                if failures >= attempt_budget:
+                if failures >= _REJECTS_PER_EDGE * m:
                     raise AttemptBudgetExceeded(
                         f"{failures} consecutive rejected draws with "
                         f"{len(edges)}/{m} edges placed (alpha={params.alpha})"
@@ -227,32 +211,6 @@ def giant_component(g: Graph) -> tuple[Graph, dict[int, int]]:
     sub = Graph(int(new[-1]) + 1, zip(new.take(u[edge]).tolist(), new.take(v[edge]).tolist()))
     old = np.flatnonzero(keep).tolist()
     return sub, dict(zip(old, range(len(old))))
-
-
-def degree_histogram(g: Graph) -> dict[int, int]:
-    """Map degree -> number of vertices with that degree."""
-    return dict(sorted(Counter(g.degrees()).items()))
-
-
-def fit_powerlaw_exponent(hist: dict[int, int], k_min: int) -> float:
-    """Maximum-likelihood tail exponent for degrees >= k_min.
-
-    Uses the continuous approximation of the discrete power-law MLE:
-    gamma_hat = 1 + n / sum(count_k * ln(k / (k_min - 1/2))), which is the
-    standard closed form with the half-integer shift correcting for
-    discreteness.
-    """
-    if k_min < 1:
-        raise ValueError("k_min must be >= 1")
-    tail = {k: c for k, c in hist.items() if k >= k_min and c > 0}
-    if len(tail) < 10:
-        raise InsufficientTail(
-            f"only {len(tail)} distinct degrees >= {k_min}; need at least 10"
-        )
-    shift = k_min - 0.5
-    n = sum(tail.values())
-    log_sum = sum(c * math.log(k / shift) for k, c in tail.items())
-    return 1.0 + n / log_sum
 
 
 def _hop_distances(g: Graph, sources) -> np.ndarray:

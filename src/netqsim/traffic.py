@@ -346,23 +346,3 @@ def write_bit_trace(bits, path: str, fmt: str = "raw") -> None:
         raise ValueError(f"unknown trace format {fmt!r}")
     with open(path, "w") as f:
         f.write(body + "\n")
-
-
-def read_bit_trace(path: str) -> np.ndarray:
-    """Read either trace format back into a uint8 bit vector. A raw bit
-    other than 0/1, or a run token other than `On:<count>` / `Off:<count>`,
-    raises ValueError naming the path and the 1-based line."""
-    with open(path) as f:
-        lines = f.read().splitlines()
-    raw = "".join(lines).lstrip()[:1] in "01"  # an empty trace reads either way
-    out: list[int] = []
-    tokens = ((lineno, token) for lineno, line in enumerate(lines, 1) for token in line.split())
-    for lineno, token in tokens:
-        state, _, length = token.partition(":")
-        if raw and token in ("0", "1"):
-            out.append(int(token))
-        elif not raw and state in ("On", "Off") and length.isdecimal():
-            out.extend([int(state == "On")] * int(length))
-        else:
-            raise ValueError(f"{path}, line {lineno}: bad {'bit' if raw else 'run'} {token!r}")
-    return np.array(out, dtype=np.uint8)

@@ -1,8 +1,9 @@
 """Shared test graph builders and independent oracles."""
 from __future__ import annotations
 
+import math
 import random
-from collections import deque
+from collections import Counter, deque
 from typing import NamedTuple
 
 import numpy as np
@@ -169,11 +170,67 @@ def reference_load(g: Graph, include_endpoints: bool = False) -> np.ndarray:
     return np.asarray(load)
 
 
+def degrees(g: Graph) -> list[int]:
+    return [len(nbrs) for nbrs in g.adjacency]
+
+
+def degree_histogram(g: Graph) -> dict[int, int]:
+    """Map degree -> number of vertices with that degree."""
+    return dict(sorted(Counter(degrees(g)).items()))
+
+
+class InsufficientTail(ValueError):
+    """Not enough distinct degrees above the fitting cutoff."""
+
+
+def fit_powerlaw_exponent(hist: dict[int, int], k_min: int) -> float:
+    """Maximum-likelihood tail exponent for degrees >= k_min, the oracle
+    that checks the generator's degree exponent 1 + 1/alpha.
+
+    Uses the continuous approximation of the discrete power-law MLE:
+    gamma_hat = 1 + n / sum(count_k * ln(k / (k_min - 1/2))), which is the
+    standard closed form with the half-integer shift correcting for
+    discreteness.
+    """
+    if k_min < 1:
+        raise ValueError("k_min must be >= 1")
+    tail = {k: c for k, c in hist.items() if k >= k_min and c > 0}
+    if len(tail) < 10:
+        raise InsufficientTail(
+            f"only {len(tail)} distinct degrees >= {k_min}; need at least 10"
+        )
+    shift = k_min - 0.5
+    n = sum(tail.values())
+    log_sum = sum(c * math.log(k / shift) for k, c in tail.items())
+    return 1.0 + n / log_sum
+
+
+def read_bit_trace(path: str) -> np.ndarray:
+    """Inverse of `netqsim.traffic.write_bit_trace`: either trace format back
+    into a uint8 bit vector. A raw bit other than 0/1, or a run token other
+    than `On:<count>` / `Off:<count>`, raises ValueError naming the path and
+    the 1-based line."""
+    with open(path) as f:
+        lines = f.read().splitlines()
+    raw = "".join(lines).lstrip()[:1] in "01"  # an empty trace reads either way
+    out: list[int] = []
+    tokens = ((lineno, token) for lineno, line in enumerate(lines, 1) for token in line.split())
+    for lineno, token in tokens:
+        state, _, length = token.partition(":")
+        if raw and token in ("0", "1"):
+            out.append(int(token))
+        elif not raw and state in ("On", "Off") and length.isdecimal():
+            out.extend([int(state == "On")] * int(length))
+        else:
+            raise ValueError(f"{path}, line {lineno}: bad {'bit' if raw else 'run'} {token!r}")
+    return np.array(out, dtype=np.uint8)
+
+
 def derived_leaves(g: Graph) -> dict[int, int]:
     """Leaf -> parent for every leaf whose Brandes row `compute_load` takes
     from its neighbour's instead of a BFS: a degree-1 vertex whose neighbour
     has degree >= 2."""
-    deg = g.degrees()
+    deg = degrees(g)
     return {v: nbrs[0] for v, nbrs in enumerate(g.adjacency) if deg[v] == 1 and deg[nbrs[0]] >= 2}
 
 

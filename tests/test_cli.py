@@ -13,7 +13,7 @@ import pytest
 
 import netqsim.graphs
 import netqsim.sim
-from netqsim import NoConvergence, read_bit_trace, read_edge_list
+from netqsim import NoConvergence, read_edge_list
 from netqsim.cli import (
     FIG12_COLUMNS,
     FIG34_COLUMNS,
@@ -27,7 +27,7 @@ from netqsim.cli import (
     run_fig12_sweep,
     run_fig34_sweep,
 )
-from _helpers import read_csv
+from _helpers import read_bit_trace, read_csv
 
 DATA = Path(__file__).parent / "data"
 
@@ -283,6 +283,30 @@ def test_traffic_flag_conflicts(capsys):
     assert main(["run", "--edges", "g.txt", "--alpha", "0.9", "--d", "0.9"]) == 1
     assert main(["run", "--d", "0.9"]) == 1
     assert capsys.readouterr().err.count("--edges") == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["traffic", "--d", "0.5", "--tol", "0.7", "--estimate-rate"],
+    ["run", "--alpha", "0", "--n", "100", "--d", "0.9", "--tol", "5", "--out", "r.csv"],
+])
+def test_tol_without_target_lambda_names_the_flag(command, tmp_path, monkeypatch, capsys):
+    # --tol only tunes the calibration to --target-lambda; with --d it did nothing
+    monkeypatch.chdir(tmp_path)
+    assert main(command) == 1
+    assert capsys.readouterr() == ("", "error: --tol requires --target-lambda\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("series", ["same.csv", "./same.csv"])
+def test_run_rejects_one_file_for_out_and_queue_series(series, tmp_path, monkeypatch, capsys):
+    # the queue series used to overwrite the metrics row
+    monkeypatch.chdir(tmp_path)
+    assert main([
+        "run", "--alpha", "0", "--n", "100", "--d", "0.9",
+        "--out", "same.csv", "--queue-series", series,
+    ]) == 1
+    assert capsys.readouterr() == ("", "error: --out and --queue-series: both name 'same.csv'\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -756,14 +780,43 @@ def test_public_names_are_pinned():
     )
     assert names == [
         "AttemptBudgetExceeded", "ErramilliParams", "ErramilliSource", "GenParams", "Graph",
-        "InsufficientData", "InsufficientTail", "LoadStats", "NoConvergence",
-        "NoReachablePairs", "SimConfig", "SimMetrics", "SimState", "TooFewHosts",
-        "assign_hosts", "calibrate_d", "compute_load", "default_block_sizes",
-        "degree_histogram", "estimate_rate", "fit_powerlaw_exponent",
-        "generate_static_model", "giant_component", "hurst_aggregated_variance",
-        "load_and_cpl", "load_stats", "measure_load_proxy", "read_bit_trace",
-        "read_edge_list", "run", "write_bit_trace", "write_edge_list", "write_load_csv",
+        "InsufficientData", "LoadStats", "NoConvergence", "NoReachablePairs", "SimConfig",
+        "SimMetrics", "SimState", "TooFewHosts", "assign_hosts", "calibrate_d",
+        "compute_load", "default_block_sizes", "estimate_rate", "generate_static_model",
+        "giant_component", "hurst_aggregated_variance", "load_and_cpl", "load_stats",
+        "measure_load_proxy", "read_edge_list", "run", "write_bit_trace", "write_edge_list",
+        "write_load_csv",
     ]
+
+
+def test_package_defines_only_what_it_reaches():
+    # a public function or class of src/netqsim that no module of the package
+    # (the re-exports of __init__ aside) calls, imports or names belongs in
+    # tests/_helpers.py; each one left here says why it stays
+    defined, reached = set(), set()
+    for path in Path(netqsim.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        defined.update(
+            node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        )
+        if path.stem == "__init__":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reached.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reached.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                reached.update(alias.name for alias in node.names)
+    assert defined - reached == {
+        # perfbench/spans.py traces these two until the benchmark drops them
+        "all_pairs_hop_distances",
+        "characteristic_path_length",
+        # the congestion accounting of the cell record is to read it, and the
+        # reference-simulator tests compare it with the reference's transit
+        "measure_load_proxy",
+    }
 
 
 def test_package_imports_no_scipy():

@@ -19,11 +19,10 @@ from netqsim import (
     default_block_sizes,
     estimate_rate,
     hurst_aggregated_variance,
-    read_bit_trace,
     write_bit_trace,
 )
 from netqsim.cli import _CALIBRATION_SEED, ExperimentPlan
-from _helpers import advance, map_step, reference_calibrate_d
+from _helpers import advance, map_step, read_bit_trace, reference_calibrate_d
 
 # Frozen fixture: long-run rate at m1=m2=1.7, d=0.5 (8 orbits of 1e6 samples,
 # seed 31). Recorded after checking that doubling the samples moves the
