@@ -387,6 +387,8 @@ def _cmd_traffic(args) -> int:
     _check_seed(args.seed)  # a bad seed is named before any flag conflict
     if args.tol is not None and args.target_lambda is None:
         raise ValidationError("--tol requires --target-lambda")
+    if args.format is not None and not args.out:
+        raise ValidationError("--format requires --out")
     if args.bits is None:
         for flag in ("hurst", "out"):
             if getattr(args, flag):
@@ -414,8 +416,9 @@ def _cmd_traffic(args) -> int:
         src = ErramilliSource(params, seed=args.seed)
         bits = src.bits(args.bits)
         if args.out:
-            write_bit_trace(bits, args.out, fmt=args.format)
-            print(f"wrote {args.out}: {args.bits} bits ({args.format})")
+            fmt = args.format or "raw"
+            write_bit_trace(bits, args.out, fmt=fmt)
+            print(f"wrote {args.out}: {args.bits} bits ({fmt})")
         if args.hurst:
             h = hurst_aggregated_variance(bits, sizes)
             print(f"hurst={h!r}")
@@ -431,6 +434,15 @@ def _cmd_run(args) -> int:
         os.path.realpath(args.out) == os.path.realpath(args.queue_series)
     ):
         raise ValidationError(f"--out and --queue-series: both name {args.out!r}")
+    d, lam = _resolve_d(args)
+    config = SimConfig(  # checks its fields before the graph is built, then gets it
+        graph=None,
+        rho=args.rho,
+        traffic=ErramilliParams(args.m1, args.m2, d),
+        warmup_steps=args.warmup,
+        measure_steps=args.steps,
+        seed=args.seed,
+    )
     if args.edges is not None:  # argparse makes it exclusive of --alpha
         g, meta = read_edge_list(args.edges)
         alpha = meta.get("alpha", float("nan"))
@@ -438,16 +450,7 @@ def _cmd_run(args) -> int:
         alpha = args.alpha
         params = GenParams.from_avg_degree(args.n, args.avg_degree, alpha, args.seed)
         g = generate_static_model(params)
-    g, _ = giant_component(g)
-    d, lam = _resolve_d(args)
-    config = SimConfig(
-        graph=g,
-        rho=args.rho,
-        traffic=ErramilliParams(args.m1, args.m2, d),
-        warmup_steps=args.warmup,
-        measure_steps=args.steps,
-        seed=args.seed,
-    )
+    config.graph, _ = giant_component(g)
     metrics = run_sim(config)
     gamma = gamma_of_alpha(alpha) if not math.isnan(alpha) else float("nan")
     row = {
@@ -542,7 +545,7 @@ def _build_parser() -> _Parser:
     _add_source_args(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bits", type=int)
-    p.add_argument("--format", choices=["raw", "rle"], default="raw")
+    p.add_argument("--format", choices=["raw", "rle"], help="with --out (default raw)")
     p.add_argument("--estimate-rate", action="store_true")
     p.add_argument("--hurst", action="store_true")
     p.add_argument("--out")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 import random
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -87,9 +88,10 @@ def assign_hosts(g: Graph, rho: float, seed: int) -> list[int]:
 
 
 def _route(cand: tuple[int, ...], counts_row: list[int], tie_rng: random.Random) -> int:
-    """Pick among the closer positions `cand` of a tie: least used link, then
-    at random. The forwarding loop decides two-way ties itself, the same
-    way; this is the rule for three or more."""
+    """Pick among the closer positions `cand`, a tuple route entry: least
+    used link, then at random. The forwarding loop decides two-way ties
+    itself, the same way; this is the rule for three or more. The empty
+    entry () raises, as no forward may read it."""
     best_c = min(counts_row[k] for k in cand)
     cand = [k for k in cand if counts_row[k] == best_c]
     if len(cand) > 1:
@@ -99,25 +101,21 @@ def _route(cand: tuple[int, ...], counts_row: list[int], tie_rng: random.Random)
 
 def _route_tables(
     graph: Graph, hosts: list[int], dist: np.ndarray
-) -> tuple[list[list[int] | None], list[tuple[int, ...]]]:
-    """Routes toward each host: `(routes, ties)`. Entry v of `routes[dst]`
-    is an int: k >= 0 when the neighbour at position k of v's adjacency
-    list is the only one one hop closer to dst, and ~i when the closer
-    positions are the tuple `ties[i]`. `ties[0]` is (), the entry at dst
-    itself and out of its reach; every other tuple of `ties` is distinct.
-    Row i of `dist` holds the hop counts to hosts[i]; the tables of other
-    vertices are None.
+) -> list[list[int | tuple[int, ...]] | None]:
+    """Routes toward each host. Entry v of `routes[dst]` is the int k when
+    the neighbour at position k of v's adjacency list is the only one one
+    hop closer to dst, the tuple of the closer positions when there are
+    several, and () at dst itself and out of its reach. Equal tuples are one
+    object across all the tables. Row i of `dist` holds the hop counts to
+    hosts[i]; the tables of other vertices are None.
 
     Built with numpy over the CSR slots, a block of host rows at a time.
-    The entries are mapped through one object array of ints, so that
-    equal entries are one object.
     """
     n = graph.n_vertices
     deg, indptr, indices = _csr(graph)
     owner = np.repeat(np.arange(n), deg)
-    shared: dict[tuple[int, ...], int] = {(): 0}  # tie tuple -> its index
-    entries = np.arange(-1, int(deg.max())).astype(object)  # entry e at e + len(shared)
-    routes: list[list[int] | None] = [None] * n
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # each tie tuple's one object
+    routes: list[list[int | tuple[int, ...]] | None] = [None] * n
     rows = max(1, _ROUTE_BLOCK // indices.size)
     for r0 in range(0, len(hosts), rows):
         block = dist[r0 : r0 + rows]
@@ -129,32 +127,24 @@ def _route_tables(
         pos = slot - indptr.take(v)
         count = np.bincount(row * n + v, minlength=block.size)
         first = np.cumsum(count) - count  # each cell's first pair
-        code = np.full(block.size, -1, dtype=np.intp)
+        entry = np.empty(block.size, dtype=object)
+        entry.fill(())
         one = np.flatnonzero(count == 1)
-        code[one] = pos.take(first.take(one))
+        entry[one] = pos.take(first.take(one))
         multi = np.flatnonzero(count > 1)
         pos = pos.tolist()
-        known = len(shared)
-        code[multi] = ~np.array(
-            [
-                shared.setdefault(tuple(pos[o : o + k]), len(shared))
-                for o, k in zip(first.take(multi).tolist(), count.take(multi).tolist())
-            ],
-            dtype=np.intp,
-        )
-        if len(shared) > known:  # new ties go in front, the old objects stay
-            fresh = np.arange(-len(shared), -known).astype(object)
-            entries = np.concatenate([fresh, entries])
-        code += len(shared)
-        for dst, codes in zip(hosts[r0 : r0 + rows], code.reshape(block.shape)):
-            routes[dst] = entries.take(codes).tolist()
-    return routes, list(shared)
+        for c, o, k in zip(multi.tolist(), first[multi].tolist(), count[multi].tolist()):
+            tie = tuple(pos[o : o + k])
+            entry[c] = shared.setdefault(tie, tie)
+        for dst, table in zip(hosts[r0 : r0 + rows], entry.reshape(block.shape).tolist()):
+            routes[dst] = table
+    return routes
 
 
 class _Shared:
     """What the runs of one sweep share: source streams, and the layout
-    (sorted hosts, their route tables, the ties those index and the hop
-    distances to each host) of the last graph.
+    (sorted hosts, their route tables and the hop distances to each host)
+    of the last graph.
 
     Stream (traffic, seed, i) is host i's source in a run of `seed`, child
     2 + i of SeedSequence(seed). Its spawn key does not depend on the number
@@ -190,9 +180,9 @@ class _Shared:
         return held[start - 8 * lo:]
 
     def layout(self, graph: Graph, hosts: list[int]):
-        """(sorted hosts, routes, ties, hops): the hosts, their
-        `_route_tables`, and `hops[dst]` the list of hop counts from every
-        vertex to host dst; the hosts must reach each other."""
+        """(sorted hosts, routes, hops): the hosts, their `_route_tables`,
+        and `hops[dst]` the hop counts from every vertex to host dst, an
+        `array('i')`; the hosts must reach each other."""
         hosts = sorted(hosts)
         last = self._layout
         if last is None or last[0] is not graph or last[1] != hosts:
@@ -201,8 +191,8 @@ class _Shared:
             for h in hosts:  # reachability is transitive: one row decides every pair
                 if dist[0, h] == UNREACHABLE:
                     raise ValueError(f"hosts {hosts[0]} and {h} are in different components")
-            hops = dict(zip(hosts, dist.tolist()))
-            last = self._layout = (graph, hosts, *_route_tables(graph, hosts, dist), hops)
+            hops = {h: array("i", row.tobytes()) for h, row in zip(hosts, dist)}
+            last = self._layout = (graph, hosts, _route_tables(graph, hosts, dist), hops)
         return last[1:]
 
 
@@ -224,12 +214,12 @@ class SimState:
     runs bit-reproducible.
 
     Routes are tabulated from one BFS per host, `_routes[dst][v]` for every
-    host `dst`: the position in v's adjacency list of the one closer
-    neighbour, or ~i for the closer positions `_ties[i]` (see
-    `_route_tables`); hosts must reach each other. A forward decides a
-    two-way tie inline and a larger one with `_route`, by the same rule and
-    the same draws. Source bits and routes come from a `_Shared` store, the
-    state's own unless `_shared` is given.
+    host `dst`: the int position in v's adjacency list of the one closer
+    neighbour, or the tuple of the closer positions (see `_route_tables`);
+    hosts must reach each other. A forward decides a two-way tie inline and
+    a larger one with `_route`, by the same rule and the same draws. Source
+    bits and routes come from a `_Shared` store, the state's own unless
+    `_shared` is given.
     A queued packet is a tuple (id, src, dst, created_at); no record of a
     packet outlives its delivery. Every delivery is checked against the hop
     distance from src, read from `_hops[dst]`, the BFS rows the routes were
@@ -257,7 +247,7 @@ class SimState:
         if len(set(hosts)) != len(hosts) or not all(0 <= h < n for h in hosts):
             raise ValueError("hosts must be distinct vertex indices")
         shared = _Shared() if _shared is None else _shared
-        hosts, self._routes, self._ties, self._hops = shared.layout(graph, hosts)
+        hosts, self._routes, self._hops = shared.layout(graph, hosts)
 
         self.graph = graph
         self.hosts = hosts
@@ -337,7 +327,6 @@ class SimState:
         active = self._active
         adj = self._adj
         routes = self._routes
-        ties = self._ties
         counts = self.link_counts
         tie_rng = self._tie_rng
         getrandbits = self._dest_rng.getrandbits
@@ -380,10 +369,9 @@ class SimState:
                     dst = pkt[2]
                     k = routes[dst][node]
                     row = counts[node]
-                    if k < 0:
-                        cand = ties[~k]
-                        if len(cand) == 2:
-                            a, b = cand
+                    if type(k) is tuple:
+                        if len(k) == 2:
+                            a, b = k
                             ca = row[a]
                             cb = row[b]
                             if ca < cb:
@@ -391,9 +379,9 @@ class SimState:
                             elif cb < ca:
                                 k = b
                             else:
-                                k = cand[tie_rng.randrange(2)]
+                                k = k[tie_rng.randrange(2)]
                         else:
-                            k = _route(cand, row, tie_rng)
+                            k = _route(k, row, tie_rng)
                     row[k] += 1
                     nxt = adj[node][k]
                     if nxt == dst:

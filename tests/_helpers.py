@@ -368,11 +368,10 @@ def reference_routes(g: Graph, hosts) -> list[list[tuple[int, ...]] | None]:
 
 
 def decoded_routes(state: SimState) -> list[list[tuple[int, ...]] | None]:
-    """`state`'s route tables as `reference_routes` writes them: an entry
-    k >= 0 is (k,), an entry ~i the tie `state._ties[i]`."""
-    ties = state._ties
+    """`state`'s route tables as `reference_routes` writes them: an int
+    entry k is (k,), a tuple entry is itself."""
     return [
-        None if table is None else [(k,) if k >= 0 else ties[~k] for k in table]
+        None if table is None else [e if type(e) is tuple else (e,) for e in table]
         for table in state._routes
     ]
 

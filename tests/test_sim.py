@@ -128,7 +128,6 @@ def test_shared_store_builds_routes_per_graph_and_hosts():
         assert st.hosts == sorted(hosts)
         fresh = SimState(g, hosts)
         assert st._routes == fresh._routes
-        assert st._ties == fresh._ties
 
 
 # -- stepping -------------------------------------------------------------------------
