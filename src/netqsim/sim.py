@@ -13,6 +13,7 @@ import math
 import numbers
 import random
 from array import array
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -220,10 +221,13 @@ class SimState:
     a larger one with `_route`, by the same rule and the same draws. Source
     bits and routes come from a `_Shared` store, the state's own unless
     `_shared` is given.
-    A queued packet is a tuple (id, src, dst, created_at); no record of a
-    packet outlives its delivery. Every delivery is checked against the hop
+    A queued packet is one int, `(created * n + src) * n + dst` for n
+    vertices, so a forward reads `dst = pkt % n`; no record of a packet
+    outlives its delivery. Every delivery is checked against the hop
     distance from src, read from `_hops[dst]`, the BFS rows the routes were
-    built from.
+    built from. `_active` lists the vertices that hold packets, ascending,
+    between blocks and when a forwarding phase starts; the census at each
+    block end checks it.
 
     Counters are totals since clock 0, `delay_total` the delivery steps summed
     over delivered packets; `run` takes its window as a difference of totals.
@@ -260,10 +264,10 @@ class SimState:
         self._shared = shared
         self._keys = [(traffic, seed, i) for i in range(len(hosts))] if traffic else []
 
-        self._queues: list[deque[tuple[int, int, int, int]]] = [deque() for _ in range(n)]
+        self._queues: list[deque[int]] = [deque() for _ in range(n)]
         self.link_counts: list[list[int]] = [[0] * len(nbrs) for nbrs in self._adj]
         self._generated_at = [0] * n
-        self._active: set[int] = set()
+        self._active: list[int] = []
         self.clock = 0
         self.generated_total = 0
         self.delivered_total = 0
@@ -272,31 +276,26 @@ class SimState:
         self.max_queue = 0
         self.queue_series: list[int] = []
 
-    def queue_length(self, v: int) -> int:
-        return len(self._queues[v])
-
     def inject(self, src: int, dst: int) -> int:
-        """Manually enqueue a packet at `src` (both endpoints must be hosts);
-        returns its id, the number of packets generated before it."""
+        """Manually enqueue a packet at `src` (both endpoints must be hosts),
+        created at the current clock; returns the number of packets generated
+        before it."""
         if src not in self._host_set or dst not in self._host_set:
             raise ValueError("src and dst must be hosts")
         if src == dst:
             raise ValueError("src and dst must differ")
-        pid = self.generated_total
+        n = self.graph.n_vertices
         q = self._queues[src]
-        q.append((pid, src, dst, self.clock))
-        self._active.add(src)
+        if not q:
+            insort(self._active, src)
+        q.append((self.clock * n + src) * n + dst)
         self.max_queue = max(self.max_queue, len(q))
         self._generated_at[src] += 1
         self.generated_total += 1
         self.in_flight += 1
-        return pid
+        return self.generated_total - 1
 
     # -- dynamics ----------------------------------------------------------
-
-    def step(self) -> None:
-        """Advance one time step (generation phase, then forwarding phase)."""
-        self.run_steps(1)
 
     def run_steps(self, count: int) -> None:
         """Advance `count` time steps, in blocks of at most _BLOCK_STEPS."""
@@ -310,9 +309,17 @@ class SimState:
         Each host's bits for the block are read up front, those of steps
         clock .. clock + count - 1 of its stream, and hosts still spawn in
         ascending order within a step. The counters live in locals for the
-        block and are stored back when it ends or raises. Each delivery is
-        checked against the hop-distance lower bound, one lookup, and a block
-        that ends checks the queue census and packet conservation, O(N).
+        block and are stored back when it ends or raises.
+
+        The vertices that forward in a step are the ascending `active` list.
+        One that still holds packets after its pop goes to the next step's
+        list, in the same order; an enqueue into an empty queue records its
+        vertex in `fresh`, which is merged in with one sort before the next
+        forwarding phase, only on steps that have any.
+
+        Each delivery is checked against the hop-distance lower bound, one
+        lookup, and a block that ends checks the queue census, the active
+        list and packet conservation, O(N).
         """
         hosts = self.hosts
         generated_at = self._generated_at
@@ -325,6 +332,7 @@ class SimState:
 
         queues = self._queues
         active = self._active
+        fresh: list[int] = []  # vertices whose queue an enqueue found empty
         adj = self._adj
         routes = self._routes
         counts = self.link_counts
@@ -334,9 +342,10 @@ class SimState:
         width = others.bit_length()
         series = self.queue_series
         hops = self._hops
+        n = self.graph.n_vertices
 
         t = self.clock
-        pid = self.generated_total
+        generated = self.generated_total
         delivered = self.delivered_total
         delay = self.delay_total
         in_flight = self.in_flight
@@ -352,21 +361,26 @@ class SimState:
                     if j >= i:
                         j += 1
                     h = hosts[i]
-                    dst = hosts[j]
                     q = queues[h]
-                    q.append((pid, h, dst, t))
-                    active.add(h)
+                    if not q:
+                        fresh.append(h)
+                    q.append((t * n + h) * n + hosts[j])
                     if len(q) > max_queue:
                         max_queue = len(q)
-                    pid += 1
+                generated += len(on_hosts)
                 in_flight += len(on_hosts)
+                if fresh:
+                    active += fresh
+                    active.sort()
+                    fresh.clear()
 
-                for node in sorted(active):
+                held = []  # the next step's list
+                for node in active:
                     q = queues[node]
                     pkt = q.popleft()
-                    if not q:
-                        active.discard(node)
-                    dst = pkt[2]
+                    if q:
+                        held.append(node)
+                    dst = pkt % n
                     k = routes[dst][node]
                     row = counts[node]
                     if type(k) is tuple:
@@ -386,36 +400,48 @@ class SimState:
                     nxt = adj[node][k]
                     if nxt == dst:
                         delivered += 1
-                        wait = t + 1 - pkt[3]
+                        rest = pkt // n
+                        src = rest % n
+                        created = rest // n
+                        wait = t + 1 - created
                         delay += wait
                         in_flight -= 1
-                        if wait < hops[dst][pkt[1]]:
+                        if wait < hops[dst][src]:
                             raise InvariantViolation(
-                                f"packet {pkt[0]} beat the hop-distance lower bound"
+                                f"packet from {src} to {dst} created at step {created} "
+                                f"beat the hop-distance lower bound"
                             )
                     else:
                         q = queues[nxt]
+                        if not q:
+                            fresh.append(nxt)
                         q.append(pkt)
-                        active.add(nxt)
                         if len(q) > max_queue:
                             max_queue = len(q)
+                active = held
 
                 t += 1
                 series.append(in_flight)
-            self._assert_invariants(pid, delivered, in_flight)
         finally:
+            if fresh:
+                active += fresh
+                active.sort()
+            self._active = active
             self.clock = t
-            self.generated_total = pid
+            self.generated_total = generated
             self.delivered_total = delivered
             self.delay_total = delay
             self.in_flight = in_flight
             self.max_queue = max_queue
+        self._assert_invariants()
 
-    def _assert_invariants(self, generated: int, delivered: int, in_flight: int) -> None:
-        queued = sum(len(q) for q in self._queues)
-        if queued != in_flight:
+    def _assert_invariants(self) -> None:
+        lengths = [len(q) for q in self._queues]
+        if sum(lengths) != self.in_flight:
             raise InvariantViolation("queue census disagrees with in-flight count")
-        if generated != delivered + in_flight:
+        if self._active != [v for v, k in enumerate(lengths) if k]:
+            raise InvariantViolation("active list is not the ascending vertices holding packets")
+        if self.generated_total != self.delivered_total + self.in_flight:
             raise InvariantViolation("packet conservation violated")
 
 
@@ -458,9 +484,11 @@ def measure_load_proxy(state: SimState) -> np.ndarray:
 
     A packet never revisits a vertex, so each own packet a vertex has
     forwarded is one it generated and no longer holds: the transit count
-    is all forwards minus (own generated - own still queued).
+    is all forwards minus (own generated - own still queued), src decoded
+    from each queued int as `pkt // n % n`.
     """
-    own_queued = [sum(1 for p in q if p[1] == v) for v, q in enumerate(state._queues)]
+    n = state.graph.n_vertices
+    own_queued = [sum(1 for p in q if p // n % n == v) for v, q in enumerate(state._queues)]
     proxy = [
         sum(row) - generated + queued
         for row, generated, queued in zip(state.link_counts, state._generated_at, own_queued)

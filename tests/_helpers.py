@@ -376,12 +376,36 @@ def decoded_routes(state: SimState) -> list[list[tuple[int, ...]] | None]:
     ]
 
 
+def pack(state: SimState, created: int, src: int, dst: int) -> int:
+    """The int `state` queues for a packet from src to dst created at step
+    `created`."""
+    n = state.graph.n_vertices
+    return (created * n + src) * n + dst
+
+
+def unpack(state: SimState, pkt: int) -> tuple[int, int, int]:
+    """(created, src, dst) of `pkt`, a packet queued in `state`."""
+    n = state.graph.n_vertices
+    rest, dst = divmod(pkt, n)
+    return (*divmod(rest, n), dst)
+
+
+def queued(state: SimState, v: int) -> list[tuple[int, int, int]]:
+    """The packets queued at vertex v, head first, as `unpack` reads them."""
+    return [unpack(state, pkt) for pkt in state._queues[v]]
+
+
+def queue_length(state: SimState, v: int) -> int:
+    return len(state._queues[v])
+
+
 class ReferenceRun(NamedTuple):
     series: list[int]  # packets in flight after each step
     records: list[tuple[int, int, int, int, int]]  # (id, src, dst, created_at, delivered_at)
     generated: int
     link_counts: list[list[int]]
     transit: list[int]  # forwards per vertex of packets it did not generate
+    queues: list[list[tuple[int, int, int, int]]]  # (id, src, dst, created_at), head first
 
 
 def reference_run(g: Graph, hosts, traffic: ErramilliParams, seed: int,
@@ -437,14 +461,18 @@ def reference_run(g: Graph, hosts, traffic: ErramilliParams, seed: int,
             else:
                 queues[adj[v][k]].append(pkt)
         series.append(generated - len(records))
-    return ReferenceRun(series, records, generated, counts, transit)
+    return ReferenceRun(series, records, generated, counts, transit, [list(q) for q in queues])
 
 
 def assert_equals_reference(state: SimState, ref: ReferenceRun) -> None:
-    """Every output `SimState` shares with the reference is equal."""
+    """Every output `SimState` shares with the reference is equal, and so is
+    every queue, packet by packet in FIFO order."""
     assert state.queue_series == ref.series
     assert state.generated_total == ref.generated
     assert state.delivered_total == len(ref.records)
     assert state.delay_total == sum(r[4] - r[3] for r in ref.records)
     assert state.link_counts == ref.link_counts
     assert measure_load_proxy(state).tolist() == ref.transit
+    assert [queued(state, v) for v in range(len(ref.queues))] == [
+        [(created, src, dst) for _, src, dst, created in q] for q in ref.queues
+    ]

@@ -35,11 +35,13 @@ from _helpers import (
     degree_histogram,
     degrees,
     fit_powerlaw_exponent,
+    pack,
     path_graph,
     petersen_graph,
     random_graph,
     reference_run,
     star_graph,
+    unpack,
 )
 
 N_SEEDS = 10
@@ -271,9 +273,10 @@ def test_criterion_09_simulation_invariants():
     broken = copy.deepcopy(state)
     for q in broken._queues:
         for i, pkt in enumerate(q):
-            q[i] = pkt[:3] + (broken.clock + 1,)
+            _, src, dst = unpack(broken, pkt)
+            q[i] = pack(broken, broken.clock + 1, src, dst)
     try:
-        broken.step()
+        broken.run_steps(1)
         bound_ok = False
     except InvariantViolation as exc:
         bound_ok = bound_ok and "lower bound" in str(exc)

@@ -846,11 +846,8 @@ def test_package_defines_only_what_it_reaches():
         # the congestion accounting of the cell record is to read it, and the
         # reference-simulator tests compare it with the reference's transit
         "measure_load_proxy",
-        # the one-step seam of the simulator tests: `step()` is `run_steps(1)`
-        "SimState.step",
-        # the simulator tests read a single queue through it
-        "SimState.queue_length",
-        # the simulator tests queue a chosen packet through it
+        # the simulator tests queue a chosen packet through it; it stays in
+        # the package because it must keep the active list ordered
         "SimState.inject",
     }
 

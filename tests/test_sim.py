@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -25,8 +27,8 @@ from netqsim import (
 from netqsim.graphs import all_pairs_hop_distances
 from netqsim.sim import InvariantViolation, SimState, _Shared
 from _helpers import (
-    assert_equals_reference, complete_graph, cycle_graph, decoded_routes, path_graph,
-    reference_run,
+    assert_equals_reference, complete_graph, cycle_graph, decoded_routes, pack, path_graph,
+    queue_length, queued, reference_run, star_graph, unpack,
 )
 
 
@@ -76,8 +78,8 @@ def test_next_hop_counter_tie_break():
     st.link_counts[0][nbrs.index(3)] = 2
     for _ in range(18):  # until the counters are level
         st.inject(0, 2)
-        st.step()
-        assert (st.queue_length(1), st.queue_length(3)) == (0, 1)
+        st.run_steps(1)
+        assert (queue_length(st, 1), queue_length(st, 3)) == (0, 1)
     assert st.link_counts[0] == [20, 20]
 
 
@@ -88,10 +90,10 @@ def test_next_hop_random_tie_is_uniform():
     for _ in range(trials):
         st.link_counts[0][:] = [0, 0]  # equal counters leave the pick to the RNG
         st.inject(0, 2)
-        st.step()  # also delivers the previous packet from 1 or 3
-        assert st.queue_length(1) + st.queue_length(3) == 1
-        picks[1] += st.queue_length(1)
-        picks[3] += st.queue_length(3)
+        st.run_steps(1)  # also delivers the previous packet from 1 or 3
+        assert queue_length(st, 1) + queue_length(st, 3) == 1
+        picks[1] += queue_length(st, 1)
+        picks[3] += queue_length(st, 3)
     assert abs(picks[1] / trials - 0.5) <= 0.05
     assert abs(picks[3] / trials - 0.5) <= 0.05
 
@@ -144,7 +146,7 @@ def delivery_totals(st: SimState, steps: int) -> list[tuple[int, int]]:
     """(delivered_total, delay_total) after each of `steps` further steps."""
     totals = []
     for _ in range(steps):
-        st.step()
+        st.run_steps(1)
         totals.append((st.delivered_total, st.delay_total))
     return totals
 
@@ -161,31 +163,36 @@ def test_one_departure_per_node_per_step():
     st = SimState(g, hosts=[0, 2], traffic=None)
     st.inject(0, 2)
     st.inject(0, 2)
-    st.step()
+    st.run_steps(1)
     # only the head moved
-    assert st.queue_length(0) == 1 and st.queue_length(1) == 1
+    assert queue_length(st, 0) == 1 and queue_length(st, 1) == 1
     # a delivered at 2 and b at 3
     assert delivery_totals(st, 5) == [(1, 2)] + [(2, 5)] * 4
 
 
 def test_fifo_discipline_preserves_order():
-    g = path_graph(4)
-    st = SimState(g, hosts=[0, 3], traffic=None)
-    assert [st.inject(0, 3) for _ in range(5)] == [0, 1, 2, 3, 4]
-    # ids queued at vertices 0, 1, 2 and (delivered, delay) totals after
-    # each step: packet i leaves first in step i + 1 and arrives at i + 3
+    # five packets from 0 along the path 0-1-2-3-4-5, to 1, 2, 3, 4 and 5 in
+    # that order, so each is told apart by its destination
+    g = path_graph(6)
+    st = SimState(g, hosts=list(range(6)), traffic=None)
+    assert [st.inject(0, dst) for dst in (1, 2, 3, 4, 5)] == [0, 1, 2, 3, 4]
+    assert queued(st, 0) == [(0, 0, dst) for dst in (1, 2, 3, 4, 5)]
+    # destinations queued at vertices 0 .. 4 and (delivered, delay) totals
+    # after each step: packet i leaves 0 in step i + 1 and arrives at 2i + 1
     expected = [
-        ([[1, 2, 3, 4], [0], []], (0, 0)),
-        ([[2, 3, 4], [1], [0]], (0, 0)),
-        ([[3, 4], [2], [1]], (1, 3)),
-        ([[4], [3], [2]], (2, 7)),
-        ([[], [4], [3]], (3, 12)),
-        ([[], [], [4]], (4, 18)),
-        ([[], [], []], (5, 25)),
+        ([[2, 3, 4, 5], [], [], [], []], (1, 1)),
+        ([[3, 4, 5], [2], [], [], []], (1, 1)),
+        ([[4, 5], [3], [], [], []], (2, 4)),
+        ([[5], [4], [3], [], []], (2, 4)),
+        ([[], [5], [4], [], []], (3, 9)),
+        ([[], [], [5], [4], []], (3, 9)),
+        ([[], [], [], [5], []], (4, 16)),
+        ([[], [], [], [], [5]], (4, 16)),
+        ([[], [], [], [], []], (5, 25)),
     ]
-    for queued, totals in expected:
-        st.step()
-        assert [[p[0] for p in st._queues[v]] for v in range(3)] == queued
+    for dsts, totals in expected:
+        st.run_steps(1)
+        assert [[dst for _, _, dst in queued(st, v)] for v in range(5)] == dsts
         assert (st.delivered_total, st.delay_total) == totals
     st.run_steps(13)
     assert (st.delivered_total, st.delay_total) == (5, 25)
@@ -197,8 +204,8 @@ def test_arrivals_wait_for_next_step():
     g = path_graph(5)
     st = SimState(g, hosts=[0, 4], traffic=None)
     st.inject(0, 4)
-    st.step()
-    assert st.queue_length(1) == 1 and st.queue_length(2) == 0
+    st.run_steps(1)
+    assert queue_length(st, 1) == 1 and queue_length(st, 2) == 0
 
 
 def test_run_steps_block_equals_single_steps():
@@ -212,7 +219,7 @@ def test_run_steps_block_equals_single_steps():
     block.run_steps(50)
     block.run_steps(1100)  # crosses a block boundary of the source bits
     for _ in range(1150):
-        single.step()
+        single.run_steps(1)
     assert block.generated_total > 0 and block.delivered_total > 0
     assert block.queue_series == single.queue_series
     for name in ("generated_total", "delivered_total", "delay_total", "in_flight",
@@ -229,20 +236,20 @@ def test_run_steps_block_equals_single_steps():
 
 
 def test_invariant_violation_is_raised():
-    # step() runs a one-step block, so the block-end census follows each step
+    # run_steps(1) runs a one-step block, so the block-end census follows each step
     assert issubclass(InvariantViolation, AssertionError)
     st = SimState(path_graph(4), hosts=[0, 3], traffic=None)
     st.inject(0, 3)
-    st.step()
+    st.run_steps(1)
     st.in_flight += 1
     with pytest.raises(InvariantViolation, match="census"):
-        st.step()
+        st.run_steps(1)
 
 
 def test_every_run_checks_the_accounting():
     st = SimState(path_graph(4), hosts=[0, 3], traffic=None)
     st.inject(0, 3)
-    st._queues[1].append((7, 0, 3, 0))  # a packet no host generated
+    st._queues[1].append(pack(st, 0, 0, 3))  # a packet no host generated
     with pytest.raises(InvariantViolation, match="census"):
         st.run_steps(2)
 
@@ -250,14 +257,49 @@ def test_every_run_checks_the_accounting():
     st.inject(0, 3)
     st.generated_total += 1
     with pytest.raises(InvariantViolation, match="conservation"):
-        st.step()
+        st.run_steps(1)
 
     st = SimState(path_graph(4), hosts=[0, 3], traffic=None)
     st.inject(0, 3)
     q = st._queues[0]
-    q[0] = q[0][:3] + (q[0][3] + 1,)  # created_at raised: three hops in two steps
-    with pytest.raises(InvariantViolation, match="lower bound"):
+    created, src, dst = unpack(st, q[0])
+    q[0] = pack(st, created + 1, src, dst)  # created step raised: three hops in two steps
+    with pytest.raises(InvariantViolation, match=r"from 0 to 3 created at step 1 .*lower bound"):
         st.run_steps(3)
+
+
+class _KeptAfterEmptying(deque):
+    """A queue that reads as non-empty even when it is empty, as a
+    forwarding loop that kept an emptied vertex in its list would see it."""
+
+    def __bool__(self):
+        return True
+
+
+def test_block_end_checks_the_active_list():
+    # the list must name exactly the vertices that hold packets, ascending
+    st = SimState(path_graph(4), hosts=[0, 3], traffic=None)
+    st.inject(0, 3)
+    assert st._active == [0]
+    st._active.clear()  # a vertex dropped from the list: its packet never moves
+    with pytest.raises(InvariantViolation, match="active list"):
+        st.run_steps(1)
+
+    st = SimState(path_graph(4), hosts=[0, 3], traffic=None)
+    st.inject(0, 3)
+    st._queues[0] = _KeptAfterEmptying(st._queues[0])
+    with pytest.raises(InvariantViolation, match="active list"):
+        st.run_steps(1)  # 0 forwards its one packet but stays listed
+    assert st._active == [0, 1] and queue_length(st, 0) == 0
+
+    # an injection into an empty queue keeps the list ascending
+    st = SimState(path_graph(4), hosts=[0, 3], traffic=None)
+    st.inject(3, 0)
+    st.inject(0, 3)
+    st.inject(3, 0)
+    assert st._active == [0, 3]
+    st.run_steps(1)
+    assert st._active == [1, 2, 3]
 
 
 def test_invariant_violation_survives_python_O():
@@ -268,10 +310,10 @@ def test_invariant_violation_survives_python_O():
         "g = Graph(4, [(0, 1), (1, 2), (2, 3)])\n"
         "st = SimState(g, [0, 3], traffic=None)\n"
         "st.inject(0, 3)\n"
-        "st.step()\n"
+        "st.run_steps(1)\n"
         "st.in_flight += 1\n"
         "print(sys.flags.optimize, flush=True)\n"
-        "st.step()\n"
+        "st.run_steps(1)\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(netqsim.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -304,32 +346,59 @@ def test_inject_validation():
 
 
 def test_generated_packets_target_other_hosts():
-    # the run equals the reference, whose delivered packets and the
-    # simulator's queued ones are every packet generated
-    g = complete_graph(5)
+    # the run equals the reference, queues included; the reference's
+    # delivered and queued packets are every packet generated. Every packet
+    # crosses the hub 0 of the star, which forwards one a step, so the run
+    # ends with packets queued.
+    g = star_graph(3)
     traffic = ErramilliParams(1.5, 1.5, 0.3)
-    st = SimState(g, hosts=[0, 1, 2], traffic=traffic, seed=6)
+    st = SimState(g, hosts=[1, 2, 3], traffic=traffic, seed=6)
     st.run_steps(200)
-    ref = reference_run(g, [0, 1, 2], traffic, 6, 200)
+    ref = reference_run(g, [1, 2, 3], traffic, 6, 200)
     assert_equals_reference(st, ref)
-    packets = [r[:4] for r in ref.records] + [p for q in st._queues for p in q]
-    assert sorted(p[0] for p in packets) == list(range(st.generated_total))
-    assert st.generated_total > 0
-    for _, src, dst, _ in packets:
-        assert src in (0, 1, 2) and dst in (0, 1, 2)
+    ids = [r[0] for r in ref.records] + [p[0] for q in ref.queues for p in q]
+    assert sorted(ids) == list(range(st.generated_total))
+    assert st.generated_total > 0 and st.in_flight > 0
+    packets = [r[1:3] for r in ref.records] + [
+        (src, dst) for v in range(g.n_vertices) for _, src, dst in queued(st, v)
+    ]
+    assert len(packets) == st.generated_total
+    for src, dst in packets:
+        assert src in (1, 2, 3) and dst in (1, 2, 3)
         assert src != dst
 
 
 # -- full runs ---------------------------------------------------------------------------
 
 def test_inject_returns_the_next_packet_id():
-    # no per-packet log is kept: a queued tuple is all there is
+    # no per-packet log is kept: a queued int is all there is
     st = SimState(path_graph(4), hosts=[0, 3], traffic=ErramilliParams(2.0, 2.0, 0.5))
     st.run_steps(50)
     assert not hasattr(st, "packets")
     pid = st.inject(0, 3)
     assert pid == st.generated_total - 1 > 0
-    assert st._queues[0][-1] == (pid, 0, 3, 50)
+    assert queued(st, 0)[-1] == (50, 0, 3)
+
+
+def test_a_queued_packet_is_one_small_int():
+    # the backlog past the congestion onset grows without bound, so what a
+    # queued packet costs bounds memory: its int (28 bytes here) and its
+    # deque slot
+    g = path_graph(8)
+    st = SimState(g, hosts=[0, 7], traffic=None)
+    st.run_steps(300)
+    count = 20_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(count):
+            st.inject(0, 7)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert queue_length(st, 0) == count
+    assert queued(st, 0)[-1] == (300, 0, 7)
+    assert held / count <= 56
 
 
 def test_run_requires_connected_graph():
@@ -474,7 +543,7 @@ def test_load_proxy_counts_unique_path_interior():
     st = SimState(g, hosts=[0, 4], traffic=None)
     st.inject(0, 4)
     assert measure_load_proxy(st).tolist() == [0.0] * 5
-    st.step()  # the packet has left its origin and is not counted there
+    st.run_steps(1)  # the packet has left its origin and is not counted there
     assert measure_load_proxy(st).tolist() == [0.0] * 5
     st.run_steps(10)
     assert measure_load_proxy(st).tolist() == [0.0, 1.0, 1.0, 1.0, 0.0]
@@ -515,9 +584,9 @@ def test_node_state_view():
     g = path_graph(3)
     st = SimState(g, hosts=[0, 2], traffic=None)
     assert st.inject(0, 2) == 0
-    assert 0 in st.hosts and st.queue_length(0) == 1
+    assert 0 in st.hosts and queue_length(st, 0) == 1
     assert st.link_counts[0] == [0]
-    st.step()
-    assert st.queue_length(0) == 0 and st.queue_length(1) == 1
+    st.run_steps(1)
+    assert queue_length(st, 0) == 0 and queue_length(st, 1) == 1
     assert st.link_counts[0] == [1]
     assert 1 not in st.hosts and st.delivered_total == 0
