@@ -546,7 +546,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bits", type=int)
     p.add_argument("--format", choices=["raw", "rle"], help="with --out (default raw)")
-    p.add_argument("--estimate-rate", action="store_true")
+    p.add_argument(
+        "--estimate-rate", action="store_true",
+        help="print the On fraction of 8 orbits of 100,000 steps, each after a 1000-step "
+        "burn-in: the source's long-run rate, not its rate over a run's measured window",
+    )
     p.add_argument("--hurst", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_traffic)

@@ -63,7 +63,9 @@ class SimConfig:
 class SimMetrics:
     """Window counters cover the measurement phase; totals cover the whole
     run (warmup included) and satisfy generated_total = delivered_total +
-    in_flight_at_end."""
+    in_flight_at_end. `queue_length_timeseries` holds the in-flight count
+    after each step of the run, warmup included, as an `array('i')`: 4
+    bytes a step."""
 
     generated: int
     delivered: int
@@ -72,7 +74,7 @@ class SimMetrics:
     max_queue: int
     generated_total: int
     delivered_total: int
-    queue_length_timeseries: list[int]
+    queue_length_timeseries: array
 
 
 def assign_hosts(g: Graph, rho: float, seed: int) -> list[int]:
@@ -274,7 +276,9 @@ class SimState:
         self.delay_total = 0
         self.in_flight = 0
         self.max_queue = 0
-        self.queue_series: list[int] = []
+        # in flight after each step; an append past 2**31 - 1 raises
+        # OverflowError rather than wrap
+        self.queue_series = array("i")
 
     def inject(self, src: int, dst: int) -> int:
         """Manually enqueue a packet at `src` (both endpoints must be hosts),

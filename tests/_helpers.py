@@ -180,7 +180,7 @@ def degree_histogram(g: Graph) -> dict[int, int]:
 
 
 class InsufficientTail(ValueError):
-    """Not enough distinct degrees above the fitting cutoff."""
+    """Too little data above a tail fit's cutoff."""
 
 
 def fit_powerlaw_exponent(hist: dict[int, int], k_min: int) -> float:
@@ -203,6 +203,30 @@ def fit_powerlaw_exponent(hist: dict[int, int], k_min: int) -> float:
     n = sum(tail.values())
     log_sum = sum(c * math.log(k / shift) for k, c in tail.items())
     return 1.0 + n / log_sum
+
+
+def sojourns(bits: np.ndarray, value: int) -> np.ndarray:
+    """Lengths of the runs of `value` in `bits`, in order; the runs cut by
+    either end of `bits` are left out."""
+    inside = np.asarray(bits) == value
+    edges = np.flatnonzero(inside[1:] != inside[:-1])  # i where bit i + 1 differs
+    starts = edges[inside[edges + 1]] + 1
+    ends = edges[inside[edges]] + 1
+    if ends.size and (not starts.size or ends[0] < starts[0]):
+        ends = ends[1:]  # the run that bits begins inside
+    return ends - starts[: ends.size]
+
+
+def ccdf_tail_slope(lengths: np.ndarray, t_lo: float, t_hi: float) -> float:
+    """The exponent a of a tail P(T > t) ~ t**-a: minus the least-squares
+    slope of log P(T > t) against log t at 16 log-spaced t from t_lo to
+    t_hi, P the empirical CCDF of `lengths`."""
+    t = np.geomspace(t_lo, t_hi, 16)
+    lengths = np.sort(lengths)
+    ccdf = (lengths.size - np.searchsorted(lengths, t, side="right")) / lengths.size
+    if not ccdf[-1] > 0:
+        raise InsufficientTail(f"no length above {t_hi} among {lengths.size}")
+    return -float(np.polyfit(np.log(t), np.log(ccdf), 1)[0])
 
 
 def read_bit_trace(path: str) -> np.ndarray:
@@ -467,7 +491,7 @@ def reference_run(g: Graph, hosts, traffic: ErramilliParams, seed: int,
 def assert_equals_reference(state: SimState, ref: ReferenceRun) -> None:
     """Every output `SimState` shares with the reference is equal, and so is
     every queue, packet by packet in FIFO order."""
-    assert state.queue_series == ref.series
+    assert state.queue_series.tolist() == ref.series
     assert state.generated_total == ref.generated
     assert state.delivered_total == len(ref.records)
     assert state.delay_total == sum(r[4] - r[3] for r in ref.records)

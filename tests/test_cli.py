@@ -13,7 +13,16 @@ import pytest
 
 import netqsim.graphs
 import netqsim.sim
-from netqsim import NoConvergence, read_edge_list
+from netqsim import (
+    ErramilliParams,
+    GenParams,
+    NoConvergence,
+    SimConfig,
+    generate_static_model,
+    giant_component,
+    read_edge_list,
+    run,
+)
 from netqsim.cli import (
     FIG12_COLUMNS,
     FIG34_COLUMNS,
@@ -239,6 +248,23 @@ def test_gen_load_run_pipeline(tmp_path, capsys):
     lines = series.read_text().strip().splitlines()
     assert lines[0] == "step,total_queued"
     assert len(lines) == 1 + 120
+
+
+def test_run_queue_series_writes_every_step_of_the_run(tmp_path):
+    # d = 0.5 saturates the graph, so the counts pass 256
+    series = tmp_path / "series.csv"
+    assert main([
+        "run", "--n", "60", "--avg-degree", "3", "--alpha", "0", "--seed", "1",
+        "--rho", "0.3", "--d", "0.5", "--warmup", "50", "--steps", "400",
+        "--queue-series", str(series),
+    ]) == 0
+    g, _ = giant_component(generate_static_model(GenParams.from_avg_degree(60, 3.0, 0.0, 1)))
+    want = run(SimConfig(graph=g, rho=0.3, traffic=ErramilliParams(2.0, 2.0, 0.5),
+                         warmup_steps=50, measure_steps=400, seed=1)).queue_length_timeseries
+    assert max(want) > 256
+    lines = series.read_text().splitlines()
+    assert lines[0] == "step,total_queued"
+    assert lines[1:] == [f"{i},{v}" for i, v in enumerate(want)]
 
 
 def test_run_prints_to_stdout(tmp_path, capsys):

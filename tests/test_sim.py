@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -139,7 +140,7 @@ def test_idle_step_only_advances_clock():
     st.run_steps(5)
     assert st.clock == 5
     assert st.generated_total == 0 and st.delivered_total == 0
-    assert st.queue_series == [0] * 5
+    assert st.queue_series.tolist() == [0] * 5
 
 
 def delivery_totals(st: SimState, steps: int) -> list[tuple[int, int]]:
@@ -401,6 +402,29 @@ def test_a_queued_packet_is_one_small_int():
     assert held / count <= 56
 
 
+def test_the_queue_series_costs_about_four_bytes_a_step():
+    # a saturated run's in-flight count climbs every step, so most of its
+    # values are past the 256 small ints CPython caches: a list would hold an
+    # 8-byte slot and a 28-byte int object a step. The array's 5th byte is
+    # the up to 1/16 it over-allocates when it grows.
+    m = run(SimConfig(graph=star_graph(9), rho=1.0, traffic=ErramilliParams(2.0, 2.0, 0.5),
+                      warmup_steps=0, measure_steps=2000, seed=1))
+    series = m.queue_length_timeseries
+    assert len(series) == 2000
+    assert sum(v > 256 for v in series) > len(series) // 2
+    assert series[-1] == m.in_flight_at_end
+    assert sys.getsizeof(series) <= 5 * len(series) + 128
+
+
+def test_an_in_flight_count_past_int32_raises_rather_than_wraps():
+    st = SimState(path_graph(4), hosts=[0, 3], traffic=None)
+    st.run_steps(1)
+    st.in_flight = 2**31
+    with pytest.raises(OverflowError):
+        st.run_steps(1)
+    assert st.queue_series.tolist() == [0]
+
+
 def test_run_requires_connected_graph():
     g = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(ValueError):
@@ -469,7 +493,10 @@ def test_simmetrics_digest_is_pinned():
             for d in (0.95, 0.85, 0.7):
                 cfg = SimConfig(graph=g, traffic=ErramilliParams(2.0, 2.0, d),
                                 warmup_steps=300, measure_steps=3000, seed=seed)
-                digest.update(repr(run(cfg)).encode())
+                m = run(cfg)
+                # the series as the list it was when the digest was pinned
+                series = m.queue_length_timeseries.tolist()
+                digest.update(repr(dataclasses.replace(m, queue_length_timeseries=series)).encode())
     assert digest.hexdigest() == (
         "c203faad937ff5f71803e347162135e9227d20d87fcf4d9790d726e4827cacc2"
     )

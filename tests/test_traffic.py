@@ -22,7 +22,9 @@ from netqsim import (
     write_bit_trace,
 )
 from netqsim.cli import _CALIBRATION_SEED, ExperimentPlan
-from _helpers import advance, map_step, read_bit_trace, reference_calibrate_d
+from _helpers import (
+    advance, ccdf_tail_slope, map_step, read_bit_trace, reference_calibrate_d, sojourns,
+)
 
 # Frozen fixture: long-run rate at m1=m2=1.7, d=0.5 (8 orbits of 1e6 samples,
 # seed 31). Recorded after checking that doubling the samples moves the
@@ -248,6 +250,32 @@ def test_on_fraction_near_half_at_symmetric_threshold():
     src = ErramilliSource(ErramilliParams(1.5, 1.5, 0.5), seed=77)
     frac = float(src.bits(1_000_000).mean())
     assert 0.35 <= frac <= 0.65
+
+
+def test_sojourns_are_the_whole_runs_of_a_value():
+    bits = np.array([1, 1, 0, 0, 0, 1, 0, 1, 1, 0], dtype=np.uint8)
+    assert sojourns(bits, 0).tolist() == [3, 1]
+    assert sojourns(bits, 1).tolist() == [1, 2]
+    assert sojourns(np.ones(5, dtype=np.uint8), 1).size == 0
+
+
+# Band on each tail exponent over its theory value 1/(m - 1), fixed before
+# the test's seeds were run: 4M bits at d = 0.5 from each of seeds 100-129
+# read 0.957-1.158 of theory on the six sojourn tails, the widest on the On
+# side of (2, 1.75), which has the fewest long On runs.
+TAIL_BAND = (0.9, 1.25)
+
+
+@pytest.mark.parametrize("m1, m2", [(2.0, 2.0), (1.75, 1.75), (2.0, 1.75)])
+def test_sojourn_tails_follow_the_map_exponents(m1, m2):
+    # The theory oracle the bit-for-bit kernel test cannot be: Off (On)
+    # sojourns of the intermittency map have P(T > t) ~ t**(-1/(m1 - 1))
+    # (t**(-1/(m2 - 1))) (Erramilli, Singh & Pruthi, ITC 14, 1994). The mixed
+    # pair tells a swap of the exponents between the branches.
+    bits = ErramilliSource(ErramilliParams(m1, m2, 0.5), seed=1).bits(4_000_000)
+    for value, m in ((0, m1), (1, m2)):
+        ratio = ccdf_tail_slope(sojourns(bits, value), 10, 1000) * (m - 1)
+        assert TAIL_BAND[0] <= ratio <= TAIL_BAND[1], (value, ratio)
 
 
 def test_orbit_stays_in_unit_interval():
