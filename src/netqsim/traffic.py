@@ -86,16 +86,14 @@ class ErramilliSource:
         once per call; IEEE 754 rounds `*` and `/` correctly, so at
         m1 = m2 = 2, the default, the orbit is the same on every conforming
         platform. Other exponents use scalar `**`, and their orbits depend
-        on the C library's `pow`. At m1 = m2 = 2 a kernel split by regime
-        takes the steps, otherwise a flat loop. The scalar reference in the
-        tests follows the same rule, bit for bit; numpy's vectorised power
-        would differ in the last bits, and the chaotic orbit amplifies that.
+        on the C library's `pow`. One kernel, split by regime, takes the
+        steps of every pair. The scalar reference in the tests follows the
+        same rule, bit for bit; numpy's vectorised power would differ in the
+        last bits, and the chaotic orbit amplifies that.
         """
         _check_int("count", count, 0)
-        p = self.params
         out = bytearray(count)
-        kernel = _orbit_square if p.m1 == p.m2 == 2.0 else _orbit_general
-        self.x = kernel(p, self.x, out, self.rng.random)
+        self.x = _orbit_kernel(self.params, self.x, out, self.rng.random)
         return out
 
     def bits(self, count: int) -> np.ndarray:
@@ -109,86 +107,77 @@ class ErramilliSource:
         return self._orbit(count).count(1)
 
 
-def _orbit_general(p: ErramilliParams, x: float, out: bytearray, rand) -> float:
-    """Writes the bits of len(out) steps from x and returns the last point.
-    A branch with exponent 2 steps as c * y * y, any other with `**`."""
-    d, m1, m2 = p.d, p.m1, p.m2
-    omd = 1.0 - d
-    hi = 1.0 - _ENDPOINT_EPS
-    sq1, sq2 = m1 == 2.0, m2 == 2.0
-    c1 = omd / (d * d)
-    c2 = d / (omd * omd)
-    for i in range(len(out)):
-        if x <= d:
-            if sq1:
-                x += c1 * x * x
-            else:
-                x += omd * (x / d) ** m1
-        else:
-            y = 1.0 - x
-            if sq2:
-                x -= c2 * y * y
-            else:
-                x -= d * (y / omd) ** m2
-        if x >= hi:
-            x = d + omd * rand()
-        elif x <= _ENDPOINT_EPS:
-            x = d * rand()
-        if x > d:
-            out[i] = 1
-    return x
-
-
-def _orbit_square(p: ErramilliParams, x: float, out: bytearray, rand) -> float:
-    """_orbit_general at m1 = m2 = 2, split by regime, with no exponent
-    branch in its steps.
+def _orbit_kernel(p: ErramilliParams, x: float, out: bytearray, rand) -> float:
+    """Writes the bits of len(out) steps from x and returns the last point,
+    split by regime.
 
     Each sojourn starts with one step by the full rule, which also leaves
-    an endpoint trap; the run then steps its own branch only and checks
-    only when it leaves that branch. An Off step adds a term >= 0, so from
-    above _ENDPOINT_EPS it cannot land near 0; an On step subtracts one, so
-    from below 1 - _ENDPOINT_EPS it cannot land near 1. A run stops past
-    `top` (Off) or at `bot` (On): on crossing d, or on entering the other
-    trap when d lies inside it. Every step thus equals _orbit_general's.
+    an endpoint trap; the run then steps its own branch only, in a loop
+    chosen once per run by that branch's exponent, and checks only when it
+    leaves the branch. An Off step adds a term >= 0, so from above
+    _ENDPOINT_EPS it cannot land near 0; an On step subtracts one, so from
+    below 1 - _ENDPOINT_EPS it cannot land near 1. A run stops past `top`
+    (Off) or at `bot` (On): on crossing d, or on entering the other trap
+    when d lies inside it. Every step thus takes the full rule's result.
     """
-    d = p.d
+    d, m1, m2 = p.d, p.m1, p.m2
     omd = 1.0 - d
     hi = 1.0 - _ENDPOINT_EPS
     top = min(d, math.nextafter(hi, 0.0))
     bot = max(d, _ENDPOINT_EPS)
+    sq1, sq2 = m1 == 2.0, m2 == 2.0
     c1 = omd / (d * d)
     c2 = d / (omd * omd)
     steps = iter(range(len(out)))
     for i in steps:
         if x <= d:
-            x += c1 * x * x
+            x += c1 * x * x if sq1 else omd * (x / d) ** m1
         else:
             y = 1.0 - x
-            x -= c2 * y * y
+            x -= c2 * y * y if sq2 else d * (y / omd) ** m2
         if x >= hi:
             x = d + omd * rand()
         elif x <= _ENDPOINT_EPS:
             x = d * rand()
         if x <= d:
             if x > _ENDPOINT_EPS:
-                for i in steps:  # an Off run
-                    x += c1 * x * x
-                    if x > top:
-                        if x >= hi:
-                            x = d + omd * rand()
-                        out[i] = x > d
-                        break
+                if sq1:
+                    for i in steps:  # an Off run
+                        x += c1 * x * x
+                        if x > top:
+                            if x >= hi:
+                                x = d + omd * rand()
+                            out[i] = x > d
+                            break
+                else:
+                    for i in steps:
+                        x += omd * (x / d) ** m1
+                        if x > top:
+                            if x >= hi:
+                                x = d + omd * rand()
+                            out[i] = x > d
+                            break
         else:
             out[i] = 1
             if x < hi:
-                for i in steps:  # an On run
-                    y = 1.0 - x
-                    x -= c2 * y * y
-                    if x <= bot:
-                        if x <= _ENDPOINT_EPS:
-                            x = d * rand()
-                        break
-                    out[i] = 1
+                if sq2:
+                    for i in steps:  # an On run
+                        y = 1.0 - x
+                        x -= c2 * y * y
+                        if x <= bot:
+                            if x <= _ENDPOINT_EPS:
+                                x = d * rand()
+                            break
+                        out[i] = 1
+                else:
+                    for i in steps:
+                        y = 1.0 - x
+                        x -= d * (y / omd) ** m2
+                        if x <= bot:
+                            if x <= _ENDPOINT_EPS:
+                                x = d * rand()
+                            break
+                        out[i] = 1
     return x
 
 

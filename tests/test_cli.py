@@ -878,6 +878,21 @@ def test_package_defines_only_what_it_reaches():
     }
 
 
+def test_help_exits_zero_and_names_every_subcommand(capsys):
+    # `python -m netqsim` runs __main__.py, and main turns the SystemExit
+    # of --help into its return value
+    src = Path(netqsim.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "netqsim", "--help"], env=env, capture_output=True, text=True
+    )
+    usage = "usage: netqsim [-h] {gen,load,traffic,run,sweep} ...\n"
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(usage)
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith(usage)
+
+
 def test_package_imports_no_scipy():
     # numpy is the package's only dependency; scipy is a test extra
     src = Path(netqsim.__file__).resolve().parent.parent

@@ -23,9 +23,9 @@ from netqsim.graphs import _hop_distances, all_pairs_hop_distances, characterist
 from netqsim.sim import _BLOCK_STEPS, SimState, _Shared
 from netqsim.traffic import ErramilliSource
 from _helpers import (
-    UnionFind, assert_equals_reference, brute_force_load, decoded_routes, derived_leaves,
-    floyd_warshall, grid_graph, hypercube_graph, path_graph, reference_load, reference_routes,
-    reference_run, star_graph,
+    UnionFind, advance, assert_equals_reference, brute_force_load, decoded_routes,
+    derived_leaves, floyd_warshall, grid_graph, hypercube_graph, path_graph, reference_load,
+    reference_routes, reference_run, star_graph,
 )
 
 
@@ -279,3 +279,41 @@ def test_replayed_streams_equal_fresh_sources(short_first, m1, m2, d, seed, firs
         assert source.x == fresh.x
         nbytes += held // 8
     assert sum(len(packed) for _, packed in shared._streams.values()) == nbytes
+
+
+@st.composite
+def call_sizes(draw) -> list[int]:
+    """Up to 6 `bits` call sizes, 3000 steps in all at most."""
+    sizes, left = [], 3000
+    for _ in range(draw(st.integers(1, 6))):
+        sizes.append(draw(st.integers(0, left)))
+        left -= sizes[-1]
+    return sizes
+
+
+_EXPONENTS = st.one_of(st.just(2.0), st.floats(1.5, 2.0))
+
+
+@settings(max_examples=300)
+# d within _ENDPOINT_EPS of 1 (of 0), and an Off (On) run at `**` that
+# creeps from 2e-12 off the endpoint into its trap
+@example(m1=1.5, m2=2.0, d=1.0 - 2.0**-45, side="off", at=1.0 - 2e-12, seed=0,
+         sizes=[1, 2999])
+@example(m1=2.0, m2=1.75, d=1e-13, side="on", at=2e-12, seed=0, sizes=[1, 2999])
+@given(
+    m1=_EXPONENTS, m2=_EXPONENTS,
+    d=st.floats(0.001, 0.999, exclude_min=True, exclude_max=True),
+    side=st.sampled_from(["off", "on"]), at=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16), sizes=call_sizes(),
+)
+def test_kernel_calls_equal_the_scalar_reference(m1, m2, d, side, at, seed, sizes):
+    # any exponent pair, threshold, start and split of the steps into
+    # calls: the concatenated bits, the last point and the draws are the
+    # reference's; the start lies a fraction `at` across its side of d
+    p = ErramilliParams(m1, m2, d)
+    ref, src = (ErramilliSource(p, seed=seed, burn_in=0) for _ in range(2))
+    ref.x = src.x = at * d if side == "off" else d + at * (1.0 - d)
+    got = [bit for k in sizes for bit in src.bits(k).tolist()]
+    assert got == [int(advance(ref) > d) for _ in range(sum(sizes))]
+    assert src.x == ref.x
+    assert src.rng.bit_generator.state == ref.rng.bit_generator.state

@@ -119,8 +119,9 @@ def test_endpoint_traps_are_left_on_their_own_side():
         assert src.x == ref.x and 0.0 < src.x < 1.0
 
 
-# the m = 2 kernel, `**` on both branches, and either branch at exponent 2
-# with `**` on the other
+# the kernel's four run loops, an Off and an On run each at exponent 2
+# (`c * y * y`) and at another (`**`): square on both branches, `**` on
+# both, and either mix
 MAP_PAIRS = [(2.0, 2.0), (1.5, 1.5), (2.0, 1.5), (1.75, 2.0)]
 
 
@@ -145,11 +146,12 @@ def test_kernel_equals_the_scalar_reference(m1, m2, d, start):
         assert src.rng.bit_generator.state == ref.rng.bit_generator.state
 
 
+@pytest.mark.parametrize("m1, m2", MAP_PAIRS)
 @pytest.mark.parametrize("d, start", [(1e-13, 2e-12), (1.0 - 2.0**-45, 1.0 - 2e-12)])
-def test_kernel_equals_the_scalar_reference_when_d_lies_in_a_trap(d, start):
+def test_kernel_equals_the_scalar_reference_when_d_lies_in_a_trap(m1, m2, d, start):
     # d within _ENDPOINT_EPS of 0 (1): an orbit creeping from `start` toward
     # d enters the trap on its own side of d and is redrawn there
-    p = ErramilliParams(2.0, 2.0, d)
+    p = ErramilliParams(m1, m2, d)
     ref, src = (ErramilliSource(p, seed=5, burn_in=0) for _ in range(2))
     ref.x = src.x = start
     expected = np.array([advance(ref) > d for _ in range(5000)], dtype=np.uint8)
