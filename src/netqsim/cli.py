@@ -373,14 +373,15 @@ def _cmd_load(args) -> int:
     return 0
 
 
-def _resolve_d(args) -> tuple[float, float]:
-    """Threshold d from --d, or calibrated to --target-lambda within --tol
-    (the plan's default when not given); also the target rate (nan for --d)."""
+def _source_params(args) -> tuple[ErramilliParams, float]:
+    """The map exponents with the threshold d from --d, or calibrated to
+    --target-lambda within --tol (the plan's default when not given); also
+    the target rate (nan for --d)."""
     if args.d is not None:
-        return args.d, float("nan")
+        return ErramilliParams(args.m1, args.m2, args.d), float("nan")
     tol = ExperimentPlan.calib_tol if args.tol is None else args.tol
     d = calibrate_d(args.m1, args.m2, args.target_lambda, tol=tol, seed=_CALIBRATION_SEED)
-    return d, args.target_lambda
+    return ErramilliParams(args.m1, args.m2, d), args.target_lambda
 
 
 def _cmd_traffic(args) -> int:
@@ -405,10 +406,9 @@ def _cmd_traffic(args) -> int:
             raise ValidationError(
                 f"--bits: --hurst needs at least {100 * sizes[-1]} bits, got {args.bits}"
             )
-    d, _ = _resolve_d(args)
+    params, _ = _source_params(args)
     if args.target_lambda is not None:
-        print(f"d={d!r}")
-    params = ErramilliParams(args.m1, args.m2, d)
+        print(f"d={params.d!r}")
     if args.estimate_rate:
         rate = estimate_rate(params, seed=args.seed)
         print(f"rate={rate!r}")
@@ -434,22 +434,23 @@ def _cmd_run(args) -> int:
         os.path.realpath(args.out) == os.path.realpath(args.queue_series)
     ):
         raise ValidationError(f"--out and --queue-series: both name {args.out!r}")
-    d, lam = _resolve_d(args)
-    config = SimConfig(  # checks its fields before the graph is built, then gets it
+    config = SimConfig(  # checks its fields before d and the graph are known, then gets them
         graph=None,
         rho=args.rho,
-        traffic=ErramilliParams(args.m1, args.m2, d),
+        traffic=None,
         warmup_steps=args.warmup,
         measure_steps=args.steps,
         seed=args.seed,
     )
-    if args.edges is not None:  # argparse makes it exclusive of --alpha
+    if args.edges is None:  # argparse makes it exclusive of --alpha
+        params = GenParams.from_avg_degree(args.n, args.avg_degree, args.alpha, args.seed)
+    config.traffic, lam = _source_params(args)
+    if args.edges is None:
+        alpha = args.alpha
+        g = generate_static_model(params)
+    else:
         g, meta = read_edge_list(args.edges)
         alpha = meta.get("alpha", float("nan"))
-    else:
-        alpha = args.alpha
-        params = GenParams.from_avg_degree(args.n, args.avg_degree, alpha, args.seed)
-        g = generate_static_model(params)
     config.graph, _ = giant_component(g)
     metrics = run_sim(config)
     gamma = gamma_of_alpha(alpha) if not math.isnan(alpha) else float("nan")
@@ -512,7 +513,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _add_source_args(p: argparse.ArgumentParser) -> None:
-    """Map exponents, exactly one of --d / --target-lambda, and its --tol (see _resolve_d)."""
+    """Map exponents, exactly one of --d / --target-lambda, and its --tol (see _source_params)."""
     p.add_argument("--m1", type=float, default=2.0)
     p.add_argument("--m2", type=float, default=2.0)
     threshold = p.add_mutually_exclusive_group(required=True)

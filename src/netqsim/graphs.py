@@ -4,8 +4,8 @@ The generator draws edge endpoints with probability proportional to the fixed
 vertex fitness (i+1)**-alpha, so alpha=0 degenerates to a uniform G(N, M)
 random graph and alpha>0 yields power-law degree tails.
 
-Traversals are numpy over the `_csr` arrays. `_expand` lists a BFS level's
-neighbours for `_hop_distances` (the simulator's host rows; from every vertex,
+Traversals are numpy over the `_csr` arrays. `_levels` is the one BFS level
+loop, for `_hop_distances` (the simulator's host rows; from every vertex,
 `all_pairs_hop_distances`, a test oracle) and for Brandes' BFS in `load`.
 """
 from __future__ import annotations
@@ -182,6 +182,24 @@ def _expand(csr, front: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cand, seg
 
 
+def _levels(csr, cells: np.ndarray, front: np.ndarray):
+    """BFS of all source rows at once over the flat (row, vertex) `cells`,
+    all UNREACHABLE, from the cells `front`. Each level sets its depth at the
+    unvisited neighbour cells and yields their (predecessor, successor) cells
+    in `_expand` order; in cell order, they are the next frontier."""
+    depth = cells[front] = 0
+    while True:
+        cand, seg = _expand(csr, front)
+        new = cells.take(cand) == UNREACHABLE
+        succ = cand.compress(new)
+        if not succ.size:
+            return
+        depth += 1
+        cells[succ] = depth
+        yield front.take(seg.compress(new)), succ
+        front = np.flatnonzero(cells == depth)
+
+
 def giant_component(g: Graph) -> tuple[Graph, dict[int, int]]:
     """Extract the largest connected component, relabeled contiguously.
 
@@ -216,8 +234,7 @@ def giant_component(g: Graph) -> tuple[Graph, dict[int, int]]:
 def _hop_distances(g: Graph, sources) -> np.ndarray:
     """BFS hop counts from each source to every vertex, an int32 array with
     one row per source; UNREACHABLE (-1) marks vertices in another component.
-    Blocks of rows run level by level: the unvisited neighbour cells of the
-    frontier get the next depth, and the cells holding it are the next one."""
+    Each block of rows drains one `_levels` BFS, which writes the depths."""
     csr = _csr(g)
     n = g.n_vertices
     sources = np.asarray(sources, dtype=np.intp)
@@ -226,12 +243,8 @@ def _hop_distances(g: Graph, sources) -> np.ndarray:
     for lo in range(0, sources.size, block):
         cells = dist[lo:lo + block].reshape(-1)  # a view: writes land in dist
         front = np.arange(0, cells.size, n) + sources[lo:lo + block]
-        depth = cells[front] = 0
-        while front.size:
-            cand, _ = _expand(csr, front)
-            depth += 1
-            cells[cand.compress(cells.take(cand) == UNREACHABLE)] = depth
-            front = np.flatnonzero(cells == depth)
+        for _ in _levels(csr, cells, front):
+            pass
     return dist
 
 

@@ -3,17 +3,15 @@ fraction of geodesics between them passing through each vertex.
 
 `compute_load` is the production path: Brandes' per-source BFS plus
 reverse dependency accumulation, O(N*M) overall, vectorised with numpy over
-blocks of sources, each level listed by `graphs._expand` as in
-`graphs._hop_distances`. A leaf (a degree-1 vertex) next to a vertex of
-degree >= 2 runs no BFS of its own: its row is its neighbour's, but for one
-entry at the neighbour. The load agrees with the sequential per-source loop
-that the tests keep as their reference to within float64 rounding (a
-relative 1e-12 is checked; only the order of the additions differs). The
-same BFS visits every hop distance, so `load_and_cpl` also returns the
-characteristic path length from that one pass, equal to
-`characteristic_path_length` of the dense distance matrix without building
-it. The tests cross-check both against independent oracles, among them a
-brute-force enumeration of every shortest path.
+blocks of sources on `graphs._levels`, the BFS level loop that
+`graphs._hop_distances` also drains. A leaf (a degree-1 vertex) next to a
+vertex of degree >= 2 runs no BFS of its own: its row is its neighbour's,
+but for one entry at the neighbour. The same BFS visits every hop
+distance, so `load_and_cpl` also returns the characteristic path length
+from that one pass, equal to `characteristic_path_length` of the dense
+distance matrix without building it. The tests cross-check both against
+the sequential per-source loop (to a relative 1e-12) and other oracles,
+among them a brute-force enumeration of every shortest path.
 """
 from __future__ import annotations
 
@@ -21,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, NoReachablePairs, _csr, _expand
+from .graphs import UNREACHABLE, Graph, NoReachablePairs, _csr, _expand, _levels
 
 # Cells (source, vertex) per block of compute_load: small enough that the
 # block's state stays in cache, large enough to amortise the per-level calls.
@@ -129,39 +127,27 @@ def _dependencies(csr, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     Returns delta, one row per source with its own entry zeroed, the number
     of vertices each source reaches, and each source's total hop count over
     them. State is flat over the cells (source row r, vertex v) at
-    r * n + v. Each BFS level is expanded at once for all rows, and the next
-    level is the cells that got its depth, in cell order, as in
-    `graphs._hop_distances`. Each level keeps its predecessor edges, along
-    which the dependencies then accumulate, deepest level first.
+    r * n + v. Each level of `graphs._levels` adds its predecessors' counts
+    into sigma and is kept for the reverse walk, deepest level first. Counts
+    only grow, and float64 sums of whole numbers are exact below 2**53, so
+    one check of the largest count after the BFS finds any that reached it.
     """
     n = csr[0].size
     b = sources.size
     row_base = np.arange(b, dtype=np.intp) * n
-    dist = np.full(b * n, -1, dtype=np.intp)
+    dist = np.full(b * n, UNREACHABLE, dtype=np.intp)
     sigma = np.zeros(b * n)
     front = row_base + sources
-    dist[front] = 0
     sigma[front] = 1.0
     levels = []  # per level >= 1: the (predecessor, successor) cells of its edges
-    depth = 0
-    while True:
-        cand, seg = _expand(csr, front)
-        new = dist.take(cand) < 0
-        succ = cand.compress(new)
-        if succ.size == 0:
-            break
-        pred = front.take(seg.compress(new))
+    for pred, succ in _levels(csr, dist, front):
         levels.append((pred, succ))
-        depth += 1
-        dist[succ] = depth
-        np.add.at(sigma, succ, sigma.take(pred))  # whole numbers: exact
-        front = np.flatnonzero(dist == depth)
-        counts = sigma.take(front)
-        if counts.max() >= _EXACT_COUNT:
-            src = int(sources[front[counts.argmax()] // n])
-            raise ValueError(
-                f"geodesic counts from source {src} exceed exact float64 range (2**53)"
-            )
+        np.add.at(sigma, succ, sigma.take(pred))  # whole numbers: exact below 2**53
+    if sigma.max() >= _EXACT_COUNT:
+        src = int(sources[sigma.argmax() // n])
+        raise ValueError(
+            f"geodesic counts from source {src} exceed exact float64 range (2**53)"
+        )
     delta = np.zeros(b * n)
     for pred, succ in reversed(levels):
         coef = (1.0 + delta.take(succ)) / sigma.take(succ)

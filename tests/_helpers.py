@@ -1,6 +1,7 @@
 """Shared test graph builders and independent oracles."""
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections import Counter, deque
@@ -227,6 +228,79 @@ def ccdf_tail_slope(lengths: np.ndarray, t_lo: float, t_hi: float) -> float:
     if not ccdf[-1] > 0:
         raise InsufficientTail(f"no length above {t_hi} among {lengths.size}")
     return -float(np.polyfit(np.log(t), np.log(ccdf), 1)[0])
+
+
+# Band on each tail exponent over its theory value 1/(m - 1), fixed before
+# the test's seeds were run: 4M bits at d = 0.5 from each of seeds 100-129
+# read 0.957-1.158 of theory on the six sojourn tails, the widest on the On
+# side of (2, 1.75), which has the fewest long On runs.
+TAIL_BAND = (0.9, 1.25)
+
+
+def kernel_bits(params: ErramilliParams, seed, count: int) -> np.ndarray:
+    """`count` bits of the package's source after its burn-in: the bit
+    source that a re-pin gate compares a new kernel against."""
+    return ErramilliSource(params, seed=seed).bits(count)
+
+
+@functools.cache
+def tail_ratios(draw, m1: float, m2: float, seed) -> tuple[float, float]:
+    """The Off and On sojourn tail exponents of `draw`, each over its theory
+    value 1/(m - 1), under the conditions `TAIL_BAND` was fixed in: 4M bits
+    at d = 0.5, fitted over t in [10, 1000]. Cached, as the tails do not
+    depend on d."""
+    bits = draw(ErramilliParams(m1, m2, 0.5), seed, 4_000_000)
+    return tuple(
+        ccdf_tail_slope(sojourns(bits, value), 10, 1000) * (m - 1)
+        for value, m in ((0, m1), (1, m2))
+    )
+
+
+class RepinGate(NamedTuple):
+    """What `repin_gate` measured on each side (old, new), and its two
+    decisions."""
+
+    on_fraction: tuple[float, float]  # mean over the orbits of the window's On fraction
+    stderr: tuple[float, float]  # sd over the orbits / sqrt(K)
+    tails: tuple[tuple[float, float], tuple[float, float]]  # (Off, On) of `tail_ratios`
+    same_rate: bool  # the On fractions agree within 2 combined standard errors
+    tails_in_band: bool  # all four tail ratios lie in TAIL_BAND
+
+    @property
+    def passed(self) -> bool:
+        return self.same_rate and self.tails_in_band
+
+    def __str__(self) -> str:
+        (f0, f1), (e0, e1) = self.on_fraction, self.stderr
+        return (
+            f"On fraction {f0:.5f} +- {e0:.5f} (old) vs {f1:.5f} +- {e1:.5f} (new): "
+            f"{'same' if self.same_rate else 'DIFFERENT'}; tail ratios (Off, On) "
+            f"{self.tails[0][0]:.3f}, {self.tails[0][1]:.3f} (old) vs "
+            f"{self.tails[1][0]:.3f}, {self.tails[1][1]:.3f} (new): "
+            f"{'in' if self.tails_in_band else 'OUT OF'} band {TAIL_BAND}"
+        )
+
+
+def repin_gate(old, new, params: ErramilliParams, old_seeds, new_seeds,
+               warmup: int = 1000, measure: int = 10_000) -> RepinGate:
+    """The statistical-equivalence gate for a re-pin of the source's
+    streams. `old` and `new` are bit sources `draw(params, seed, count)`,
+    each run with its own seeds, one orbit per seed (K = len(seeds)).
+
+    Per side, each orbit is a sim host's window: the source's burn-in, then
+    `warmup` bits skipped, then `measure` bits whose On fraction is counted.
+    The two means must agree within 2 combined standard errors. The
+    sojourn tails of each side, from its first seed (`tail_ratios`), must
+    lie in `TAIL_BAND` of theory."""
+    fractions, stderr, tails = [], [], []
+    for draw, seeds in ((old, old_seeds), (new, new_seeds)):
+        on = np.array([draw(params, s, warmup + measure)[warmup:].mean() for s in seeds])
+        fractions.append(float(on.mean()))
+        stderr.append(float(on.std(ddof=1)) / math.sqrt(on.size))
+        tails.append(tail_ratios(draw, params.m1, params.m2, seeds[0]))
+    same = abs(fractions[0] - fractions[1]) <= 2.0 * math.hypot(*stderr)
+    in_band = all(TAIL_BAND[0] <= r <= TAIL_BAND[1] for side in tails for r in side)
+    return RepinGate(tuple(fractions), tuple(stderr), tuple(tails), same, in_band)
 
 
 def read_bit_trace(path: str) -> np.ndarray:

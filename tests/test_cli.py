@@ -356,6 +356,28 @@ def test_run_rejects_its_flags_before_the_graph(graph, flags, message, monkeypat
 
 
 @pytest.mark.parametrize("flags, message", [
+    (["--alpha", "0", "--rho", "5"], "rho must lie in (0, 1]"),
+    (["--alpha", "0", "--warmup", "-1"], "warmup_steps must be an integer >= 0, got -1"),
+    (["--alpha", "0", "--steps", "0"], "measure_steps must be an integer >= 1, got 0"),
+    (["--alpha", "0", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+    (["--alpha", "2"], "alpha must lie in [0, 1]"),
+    (["--alpha", "0", "--n", "-3"], "n_vertices must be an integer >= 1, got -3"),
+    (["--alpha", "0", "--avg-degree", "nan"], "avg_degree: nan is not finite"),
+    (["--alpha", "0", "--avg-degree", "0"], "n_edges must be an integer >= 1, got 0"),
+])
+def test_run_rejects_its_flags_before_calibrating(flags, message, monkeypatch, capsys):
+    # each of these used to be named only after a full calibration of d
+    import netqsim.cli as cli
+
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibrated d for flags that fail")
+
+    monkeypatch.setattr(cli, "calibrate_d", no_calibration)
+    assert main(["run", "--n", "50", "--steps", "1", "--target-lambda", "0.01", *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flags, message", [
     (["--bits", "0", "--out", "t.txt"], "--bits: must be >= 1, got 0"),
     (["--bits", "-5"], "--bits: must be >= 1, got -5"),
     (["--out", "t.txt"], "--out requires --bits"),

@@ -16,7 +16,9 @@ from netqsim import (
     write_load_csv,
 )
 from netqsim import load as load_module
-from netqsim.graphs import _hop_distances, all_pairs_hop_distances, characteristic_path_length
+from netqsim.graphs import (
+    _csr, _hop_distances, all_pairs_hop_distances, characteristic_path_length,
+)
 from _helpers import (
     TooLarge,
     brute_force_load,
@@ -162,6 +164,17 @@ def test_geodesic_counts_beyond_exact_float64_raise():
         compute_load(leafy)
     source = int(re.search(r"from source (\d+) ", str(err.value)).group(1))
     assert max_geodesic_count(leafy, source) >= 2**53
+
+
+@pytest.mark.parametrize("sources", [[465, 899], [899, 465]])
+def test_exactness_check_names_the_overflowing_source_of_its_block(sources):
+    # one check per block of rows: from the centre 465 of a 30 x 30 grid at
+    # most C(30, 15) ~ 1.6e8 geodesics reach a vertex, from the corner 899
+    # C(58, 29) ~ 3.0e16 > 2**53; the error names the corner in either row
+    grid = grid_graph(30, 30)
+    assert max_geodesic_count(grid, 465) < 2**53 <= max_geodesic_count(grid, 899)
+    with pytest.raises(ValueError, match="from source 899 exceed exact float64 range"):
+        load_module._dependencies(_csr(grid), np.array(sources))
 
 
 def max_geodesic_count(g: Graph, s: int) -> int:

@@ -105,6 +105,52 @@ def test_hop_distances_match_dense_oracle(g, data, cells):
     assert np.array_equal(dist, floyd_warshall(g)[sources])
 
 
+def geodesic_levels(g: Graph, dense: np.ndarray, rows: list[int]) -> list[list[tuple]]:
+    """Per depth d >= 1, every (row, u, w) with dist(s, w) = dist(s, u) + 1 = d
+    for the source s of each row, in frontier order (row, then u), then in
+    the adjacency order of u; up to the last depth that has one."""
+    levels = []
+    while True:
+        depth = len(levels) + 1
+        edges = [
+            (r, u, w)
+            for r, s in enumerate(rows)
+            for u in range(g.n_vertices) if dense[s, u] == depth - 1
+            for w in g.adjacency[u] if dense[s, w] == depth
+        ]
+        if not edges:
+            return levels
+        levels.append(edges)
+
+
+@settings(max_examples=200)
+@given(g=small_graphs(), data=st.data(), cells=st.integers(1, 200))
+def test_levels_yield_each_depth_s_edges_in_frontier_then_adjacency_order(g, data, cells):
+    # the order of the edges fixes the order of the float additions of the
+    # Brandes dependencies, which the oracles check only to rtol 1e-12
+    n = g.n_vertices
+    sources = data.draw(st.lists(st.integers(0, n - 1), min_size=1))
+    real = netqsim.graphs._levels
+    blocks = []  # per block of rows: its sources and the (row, u, w) of each level
+
+    def spy(csr, cells, front):
+        blocks.append(((front % n).tolist(), []))
+        for pred, succ in real(csr, cells, front):
+            assert np.array_equal(pred // n, succ // n)
+            blocks[-1][1].append(list(zip(
+                (pred // n).tolist(), (pred % n).tolist(), (succ % n).tolist()
+            )))
+            yield pred, succ
+
+    with mock.patch.object(netqsim.graphs, "_BFS_CELLS", cells), \
+            mock.patch.object(netqsim.graphs, "_levels", spy):
+        _hop_distances(g, sources)
+    dense = floyd_warshall(g)
+    assert [row for rows, _ in blocks for row in rows] == sources
+    for rows, levels in blocks:
+        assert levels == geodesic_levels(g, dense, rows)
+
+
 def assert_giant_is_the_first_largest(g: Graph) -> None:
     uf = UnionFind(g.n_vertices)
     for u, v in g.edges():

@@ -23,7 +23,8 @@ from netqsim import (
 )
 from netqsim.cli import _CALIBRATION_SEED, ExperimentPlan
 from _helpers import (
-    advance, ccdf_tail_slope, map_step, read_bit_trace, reference_calibrate_d, sojourns,
+    TAIL_BAND, advance, kernel_bits, map_step, read_bit_trace, reference_calibrate_d,
+    repin_gate, sojourns, tail_ratios,
 )
 
 # Frozen fixture: long-run rate at m1=m2=1.7, d=0.5 (8 orbits of 1e6 samples,
@@ -261,23 +262,33 @@ def test_sojourns_are_the_whole_runs_of_a_value():
     assert sojourns(np.ones(5, dtype=np.uint8), 1).size == 0
 
 
-# Band on each tail exponent over its theory value 1/(m - 1), fixed before
-# the test's seeds were run: 4M bits at d = 0.5 from each of seeds 100-129
-# read 0.957-1.158 of theory on the six sojourn tails, the widest on the On
-# side of (2, 1.75), which has the fewest long On runs.
-TAIL_BAND = (0.9, 1.25)
-
-
 @pytest.mark.parametrize("m1, m2", [(2.0, 2.0), (1.75, 1.75), (2.0, 1.75)])
 def test_sojourn_tails_follow_the_map_exponents(m1, m2):
     # The theory oracle the bit-for-bit kernel test cannot be: Off (On)
     # sojourns of the intermittency map have P(T > t) ~ t**(-1/(m1 - 1))
     # (t**(-1/(m2 - 1))) (Erramilli, Singh & Pruthi, ITC 14, 1994). The mixed
     # pair tells a swap of the exponents between the branches.
-    bits = ErramilliSource(ErramilliParams(m1, m2, 0.5), seed=1).bits(4_000_000)
-    for value, m in ((0, m1), (1, m2)):
-        ratio = ccdf_tail_slope(sojourns(bits, value), 10, 1000) * (m - 1)
+    for value, ratio in enumerate(tail_ratios(kernel_bits, m1, m2, 1)):
         assert TAIL_BAND[0] <= ratio <= TAIL_BAND[1], (value, ratio)
+
+
+@pytest.mark.parametrize("d", [0.96875, 0.8125])  # the d of the two fig34 workloads
+def test_repin_gate_passes_the_kernel_against_itself(d):
+    gate = repin_gate(kernel_bits, kernel_bits, ErramilliParams(2.0, 2.0, d),
+                      range(200), range(200, 400))
+    assert gate.passed, str(gate)
+
+
+def swapped_exponents(params: ErramilliParams, seed, count: int) -> np.ndarray:
+    """A mutant bit source: the kernel with m1 and m2 swapped."""
+    return kernel_bits(ErramilliParams(params.m2, params.m1, params.d), seed, count)
+
+
+def test_repin_gate_fails_a_kernel_with_swapped_exponents():
+    gate = repin_gate(kernel_bits, swapped_exponents, ErramilliParams(2.0, 1.75, 0.8125),
+                      range(200), range(200, 400))
+    assert not gate.same_rate and not gate.tails_in_band, str(gate)
+    assert all(TAIL_BAND[0] <= r <= TAIL_BAND[1] for r in gate.tails[0]), str(gate)
 
 
 def test_orbit_stays_in_unit_interval():
