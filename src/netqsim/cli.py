@@ -442,15 +442,14 @@ def _cmd_run(args) -> int:
         measure_steps=args.steps,
         seed=args.seed,
     )
-    if args.edges is None:  # argparse makes it exclusive of --alpha
-        params = GenParams.from_avg_degree(args.n, args.avg_degree, args.alpha, args.seed)
+    gen = (GenParams.from_avg_degree(args.n, args.avg_degree, args.alpha, args.seed)
+           if args.edges is None else None)  # argparse makes --edges exclusive of --alpha
     config.traffic, lam = _source_params(args)
-    if args.edges is None:
-        alpha = args.alpha
-        g = generate_static_model(params)
-    else:
+    if gen is None:
         g, meta = read_edge_list(args.edges)
         alpha = meta.get("alpha", float("nan"))
+    else:
+        g, alpha = generate_static_model(gen), args.alpha
     config.graph, _ = giant_component(g)
     metrics = run_sim(config)
     gamma = gamma_of_alpha(alpha) if not math.isnan(alpha) else float("nan")

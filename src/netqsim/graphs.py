@@ -185,8 +185,9 @@ def _expand(csr, front: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _levels(csr, cells: np.ndarray, front: np.ndarray):
     """BFS of all source rows at once over the flat (row, vertex) `cells`,
     all UNREACHABLE, from the cells `front`. Each level sets its depth at the
-    unvisited neighbour cells and yields their (predecessor, successor) cells
-    in `_expand` order; in cell order, they are the next frontier."""
+    unvisited neighbour cells `succ`, the next frontier in cell order, and
+    yields `(front, seg, new, succ)`; `front.take(seg.compress(new))` are the
+    predecessors of `succ` in `_expand` order, for a caller that needs them."""
     depth = cells[front] = 0
     while True:
         cand, seg = _expand(csr, front)
@@ -196,7 +197,7 @@ def _levels(csr, cells: np.ndarray, front: np.ndarray):
             return
         depth += 1
         cells[succ] = depth
-        yield front.take(seg.compress(new)), succ
+        yield front, seg, new, succ
         front = np.flatnonzero(cells == depth)
 
 

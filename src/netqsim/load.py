@@ -126,12 +126,11 @@ def _dependencies(csr, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 
     Returns delta, one row per source with its own entry zeroed, the number
     of vertices each source reaches, and each source's total hop count over
-    them. State is flat over the cells (source row r, vertex v) at
-    r * n + v. Each level of `graphs._levels` adds its predecessors' counts
-    into sigma and is kept for the reverse walk, deepest level first. Counts
-    only grow, and float64 sums of whole numbers are exact below 2**53, so
-    one check of the largest count after the BFS finds any that reached it.
-    """
+    them, over flat cells (source row r, vertex v) at r * n + v. Each level
+    of `graphs._levels` adds the counts of its edges' predecessor cells into
+    sigma and is kept for the reverse walk, deepest first. Counts only grow,
+    and float64 sums of whole numbers are exact below 2**53, so one check of
+    the largest count after the BFS finds any that reached it."""
     n = csr[0].size
     b = sources.size
     row_base = np.arange(b, dtype=np.intp) * n
@@ -140,7 +139,8 @@ def _dependencies(csr, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     front = row_base + sources
     sigma[front] = 1.0
     levels = []  # per level >= 1: the (predecessor, successor) cells of its edges
-    for pred, succ in _levels(csr, dist, front):
+    for level_front, seg, new, succ in _levels(csr, dist, front):
+        pred = level_front.take(seg.compress(new))
         levels.append((pred, succ))
         np.add.at(sigma, succ, sigma.take(pred))  # whole numbers: exact below 2**53
     if sigma.max() >= _EXACT_COUNT:

@@ -281,20 +281,19 @@ class RepinGate(NamedTuple):
         )
 
 
-def repin_gate(old, new, params: ErramilliParams, old_seeds, new_seeds,
-               warmup: int = 1000, measure: int = 10_000) -> RepinGate:
+def repin_gate(old, new, params: ErramilliParams, old_seeds, new_seeds) -> RepinGate:
     """The statistical-equivalence gate for a re-pin of the source's
     streams. `old` and `new` are bit sources `draw(params, seed, count)`,
     each run with its own seeds, one orbit per seed (K = len(seeds)).
 
     Per side, each orbit is a sim host's window: the source's burn-in, then
-    `warmup` bits skipped, then `measure` bits whose On fraction is counted.
+    1000 bits skipped (the warmup), then 10000 bits whose On fraction is counted.
     The two means must agree within 2 combined standard errors. The
     sojourn tails of each side, from its first seed (`tail_ratios`), must
     lie in `TAIL_BAND` of theory."""
     fractions, stderr, tails = [], [], []
     for draw, seeds in ((old, old_seeds), (new, new_seeds)):
-        on = np.array([draw(params, s, warmup + measure)[warmup:].mean() for s in seeds])
+        on = np.array([draw(params, s, 11_000)[1_000:].mean() for s in seeds])
         fractions.append(float(on.mean()))
         stderr.append(float(on.std(ddof=1)) / math.sqrt(on.size))
         tails.append(tail_ratios(draw, params.m1, params.m2, seeds[0]))

@@ -135,12 +135,14 @@ def test_levels_yield_each_depth_s_edges_in_frontier_then_adjacency_order(g, dat
 
     def spy(csr, cells, front):
         blocks.append(((front % n).tolist(), []))
-        for pred, succ in real(csr, cells, front):
+        for level in real(csr, cells, front):
+            level_front, seg, new, succ = level
+            pred = level_front.take(seg.compress(new))
             assert np.array_equal(pred // n, succ // n)
             blocks[-1][1].append(list(zip(
                 (pred // n).tolist(), (pred % n).tolist(), (succ % n).tolist()
             )))
-            yield pred, succ
+            yield level
 
     with mock.patch.object(netqsim.graphs, "_BFS_CELLS", cells), \
             mock.patch.object(netqsim.graphs, "_levels", spy):
