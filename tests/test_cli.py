@@ -199,6 +199,27 @@ def test_fig12_golden_csv(tmp_path, monkeypatch):
     assert path.read_bytes() == (DATA / "golden_fig12_tiny.csv").read_bytes()
 
 
+def test_fig34_golden_csv(tmp_path, monkeypatch):
+    import netqsim.cli as cli
+
+    # d is fixed here, so that a change of calibration leaves the golden as it is
+    monkeypatch.setattr(cli, "calibrate_d", lambda m1, m2, lam, **kw: {0.05: 0.9, 0.2: 0.75}[lam])
+    # giants of 56, 56, 48 and 51 vertices, so some streams are replayed
+    # across the alphas and others drawn; one cell ends with 61 in flight
+    plan = ExperimentPlan(
+        n_vertices=60, avg_degree=3.0, alphas=[0.0, 1.0], lambdas=[0.05, 0.2],
+        seeds=[1, 2], warmup_steps=50, measure_steps=400,
+    )
+    rows, avg, failures = run_fig34_sweep(plan)
+    assert failures == []
+    assert len(rows) == 8 and len(avg) == 4
+    path, avg_path = tmp_path / "fig34.csv", tmp_path / "fig34_avg.csv"
+    emit_csv(rows, str(path), FIG34_COLUMNS)
+    emit_csv(avg, str(avg_path), list(avg[0]))
+    assert path.read_bytes() == (DATA / "golden_fig34_tiny.csv").read_bytes()
+    assert avg_path.read_bytes() == (DATA / "golden_fig34_tiny_avg.csv").read_bytes()
+
+
 def test_fig12_gamma_column_rule(tmp_path):
     plan = ExperimentPlan(n_vertices=30, avg_degree=2.0, alphas=[0.0, 0.5], seeds=[1])
     rows, _, _ = run_fig12_sweep(plan)
