@@ -195,18 +195,31 @@ def _build_topology(plan: ExperimentPlan, alpha: float, seed: int):
     return g, dict(zip(_TOPOLOGY_COLUMNS, (g.n_vertices, cpl, stats.mean, stats.normalized_std)))
 
 
-def _sweep(plan: ExperimentPlan, kind: str, columns: list[str], parts: list[dict], simulate,
-           progress) -> tuple[list[dict], list[dict], list[dict]]:
-    """One row per cell, in (alpha, seed, part) order. A part holds the key
-    columns between gamma and seed: `{}` for fig12, `{"lambda": lam}` for
-    fig34. The topology of an (alpha, seed) is built once for all its parts,
-    and `simulate(g, seed, part)` gives the columns of each part's row.
+def _sweep(plan: ExperimentPlan, kind: str, progress) -> tuple[list[dict], list[dict], list[dict]]:
+    """One row per cell, in (alpha, seed, lambda) order: a fig12 (alpha,
+    seed) is one cell, a fig34 one is one cell per lambda. Each fig34 lambda
+    is calibrated once, in plan order, before the first cell, and the
+    topology of an (alpha, seed) is built once for all its cells.
 
     A failing cell is recorded and skipped so the rest of the sweep
-    survives; a failed topology fails every part of its (alpha, seed). The
-    seed average groups by the columns before "seed" and averages those
-    after it. Returns (per-seed rows, seed-averaged rows, failures).
+    survives. It fails with its topology's error first, then its lambda's
+    calibration error, then its own. The seed average groups by the columns
+    before "seed" and averages those after it. Returns (per-seed rows,
+    seed-averaged rows, failures).
     """
+    columns = FIG34_COLUMNS if kind == "fig34" else FIG12_COLUMNS
+    calibrated = {None: None}  # a fig12 cell has no lambda and runs no simulation
+    if kind == "fig34":
+        calibrated = {}  # lambda -> d, or the error of its failed calibration
+        for lam in plan.lambdas:
+            try:
+                calibrated[lam] = calibrate_d(
+                    plan.m1, plan.m2, lam, tol=plan.calib_tol, seed=_CALIBRATION_SEED
+                )
+            except Exception as exc:  # noqa: BLE001 - fails every cell of its lambda
+                calibrated[lam] = exc
+    shared = _Shared()
+    split = columns.index("seed")
     rows = []
     failures = []
     for alpha in plan.alphas:
@@ -214,21 +227,30 @@ def _sweep(plan: ExperimentPlan, kind: str, columns: list[str], parts: list[dict
             if progress:
                 progress(f"{kind} alpha={alpha} seed={seed}")
             try:
-                g, topology_columns = _build_topology(plan, alpha, seed)
-            except Exception as exc:  # noqa: BLE001 - fails every part of its (alpha, seed)
-                failures.extend(
-                    {"alpha": alpha, **p, "seed": seed, "error": repr(exc)} for p in parts
-                )
-                continue
-            for part in parts:
+                g, topology = _build_topology(plan, alpha, seed)
+            except Exception as exc:  # noqa: BLE001 - fails every cell of its (alpha, seed)
+                topology = exc
+            for lam, d in calibrated.items():
+                key = {"alpha": alpha, "lambda": lam, "seed": seed}
                 try:
-                    rows.append({
-                        "alpha": alpha, "gamma": gamma_of_alpha(alpha), **part, "seed": seed,
-                        **topology_columns, **simulate(g, seed, part),
-                    })
+                    for error in (topology, d):  # the topology's error first
+                        if isinstance(error, Exception):
+                            raise error.with_traceback(None)  # without earlier raises' frames
+                    row = {**key, "gamma": gamma_of_alpha(alpha), **topology}
+                    if d is not None:
+                        config = SimConfig(
+                            graph=g,
+                            rho=plan.rho,
+                            traffic=ErramilliParams(plan.m1, plan.m2, d),
+                            warmup_steps=plan.warmup_steps,
+                            measure_steps=plan.measure_steps,
+                            seed=seed,
+                        )
+                        row.update(_metrics_columns(run_sim(config, shared)))
+                    rows.append({c: row[c] for c in columns})
                 except Exception as exc:  # noqa: BLE001 - cell isolation by contract
-                    failures.append({"alpha": alpha, **part, "seed": seed, "error": repr(exc)})
-    split = columns.index("seed")
+                    failure = {k: v for k, v in key.items() if k in columns}  # fig12: no lambda
+                    failures.append({**failure, "error": repr(exc)})
     return rows, average_records(rows, columns[:split], columns[split + 1:]), failures
 
 
@@ -236,7 +258,7 @@ def run_fig12_sweep(
     plan: ExperimentPlan, progress=None
 ) -> tuple[list[dict], list[dict], list[dict]]:
     """Load statistics against alpha: one row per (alpha, seed), see `_sweep`."""
-    return _sweep(plan, "fig12", FIG12_COLUMNS, [{}], lambda g, seed, part: {}, progress)
+    return _sweep(plan, "fig12", progress)
 
 
 def _metrics_columns(metrics: SimMetrics) -> dict:
@@ -255,35 +277,9 @@ def run_fig34_sweep(
 
     The runs share one `_Shared` store: each host's source stream is drawn
     once per (seed, lambda) and replayed at every alpha, and the hosts and
-    routes of an (alpha, seed) are built once for all its lambdas. Each
-    lambda is calibrated once, in plan order, before the first cell.
+    routes of an (alpha, seed) are built once for all its lambdas.
     """
-    shared = _Shared()
-    calibrated = {}  # lambda -> d, or the error of its failed calibration
-    for lam in plan.lambdas:
-        try:
-            calibrated[lam] = calibrate_d(
-                plan.m1, plan.m2, lam, tol=plan.calib_tol, seed=_CALIBRATION_SEED
-            )
-        except Exception as exc:  # noqa: BLE001 - failed by _sweep in each of its cells
-            calibrated[lam] = exc
-
-    def simulate(g, seed: int, part: dict) -> dict:
-        d = calibrated[part["lambda"]]
-        if isinstance(d, Exception):
-            raise d.with_traceback(None)  # without the frames of earlier raises
-        config = SimConfig(
-            graph=g,
-            rho=plan.rho,
-            traffic=ErramilliParams(plan.m1, plan.m2, d),
-            warmup_steps=plan.warmup_steps,
-            measure_steps=plan.measure_steps,
-            seed=seed,
-        )
-        return _metrics_columns(run_sim(config, shared))
-
-    parts = [{"lambda": lam} for lam in plan.lambdas]
-    return _sweep(plan, "fig34", FIG34_COLUMNS, parts, simulate, progress)
+    return _sweep(plan, "fig34", progress)
 
 
 def average_records(
@@ -513,8 +509,8 @@ def _cmd_sweep(args) -> int:
 
 def _add_source_args(p: argparse.ArgumentParser) -> None:
     """Map exponents, exactly one of --d / --target-lambda, and its --tol (see _source_params)."""
-    p.add_argument("--m1", type=float, default=2.0)
-    p.add_argument("--m2", type=float, default=2.0)
+    p.add_argument("--m1", type=float, default=ExperimentPlan.m1)
+    p.add_argument("--m2", type=float, default=ExperimentPlan.m2)
     threshold = p.add_mutually_exclusive_group(required=True)
     threshold.add_argument("--d", type=float)
     threshold.add_argument("--target-lambda", type=float)
@@ -526,8 +522,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a graph and export its edge list")
-    p.add_argument("--n", type=int, default=500)
-    p.add_argument("--avg-degree", type=float, default=3.0)
+    p.add_argument("--n", type=int, default=ExperimentPlan.n_vertices)
+    p.add_argument("--avg-degree", type=float, default=ExperimentPlan.avg_degree)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--giant", action="store_true", help="export only the giant component")
@@ -556,16 +552,16 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_traffic)
 
     p = sub.add_parser("run", help="single simulation, metrics row to stdout or file")
-    p.add_argument("--n", type=int, default=500)
-    p.add_argument("--avg-degree", type=float, default=3.0)
+    p.add_argument("--n", type=int, default=ExperimentPlan.n_vertices)
+    p.add_argument("--avg-degree", type=float, default=ExperimentPlan.avg_degree)
     graph = p.add_mutually_exclusive_group(required=True)
     graph.add_argument("--alpha", type=float)
     graph.add_argument("--edges", help="edge-list path (instead of generating)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rho", type=float, default=0.16)
+    p.add_argument("--rho", type=float, default=ExperimentPlan.rho)
     _add_source_args(p)
-    p.add_argument("--warmup", type=int, default=1000)
-    p.add_argument("--steps", type=int, default=10_000)
+    p.add_argument("--warmup", type=int, default=ExperimentPlan.warmup_steps)
+    p.add_argument("--steps", type=int, default=ExperimentPlan.measure_steps)
     p.add_argument("--queue-series", help="write step,total_queued CSV here")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_run)

@@ -517,7 +517,7 @@ def test_fig12_sweep_isolates_failing_cells(monkeypatch):
     assert avg[0]["n_seeds"] == 2
 
 
-def test_fig34_topology_failure_fails_every_lambda(monkeypatch):
+def test_fig34_topology_failure_fails_every_lambda(tmp_path, monkeypatch, capsys):
     import netqsim.cli as cli
 
     real_generate = cli.generate_static_model
@@ -543,6 +543,37 @@ def test_fig34_topology_failure_fails_every_lambda(monkeypatch):
     assert failures == [
         {"alpha": alpha, "lambda": lam, "seed": 1, "error": "RuntimeError('boom')"}
         for alpha in (0.0, 1.0) for lam in (0.1, 0.2)
+    ]
+
+    def calibrate(m1, m2, lam, **kwargs):
+        if lam == 0.1:
+            raise NoConvergence("no d")
+        return 0.8
+
+    # a cell whose topology and calibration both fail reports the topology's error
+    monkeypatch.setattr(cli, "calibrate_d", calibrate)
+    rows, _, failures = run_fig34_sweep(plan)
+    assert [(r["alpha"], r["seed"], r["lambda"]) for r in rows] == [(0.0, 0, 0.2), (1.0, 0, 0.2)]
+    expected = []
+    for alpha in (0.0, 1.0):
+        expected += [
+            {"alpha": alpha, "lambda": 0.1, "seed": 0, "error": "NoConvergence('no d')"},
+            {"alpha": alpha, "lambda": 0.1, "seed": 1, "error": "RuntimeError('boom')"},
+            {"alpha": alpha, "lambda": 0.2, "seed": 1, "error": "RuntimeError('boom')"},
+        ]
+    assert failures == expected
+    out = tmp_path / "x.csv"
+    assert main([
+        "sweep", "--kind", "fig34", "--n", "30", "--avg-degree", "2", "--alphas", "0,1",
+        "--lambdas", "0.1,0.2", "--seeds", "0,1", "--warmup", "20", "--steps", "100",
+        "--out", str(out),
+    ]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("failed cell: ")] == [
+        f"failed cell: {failure}" for failure in expected
+    ]
+    assert [(r["alpha"], r["seed"], r["lambda"]) for r in read_csv(str(out))] == [
+        (0.0, 0, 0.2), (1.0, 0, 0.2),
     ]
 
 
