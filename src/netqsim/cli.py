@@ -197,7 +197,7 @@ def _build_topology(plan: ExperimentPlan, alpha: float, seed: int):
 
 def _sweep(plan: ExperimentPlan, kind: str, progress) -> tuple[list[dict], list[dict], list[dict]]:
     """One row per cell, in (alpha, seed, lambda) order: a fig12 (alpha,
-    seed) is one cell, a fig34 one is one cell per lambda. Each fig34 lambda
+    seed) has one cell, a fig34 one has a cell per lambda. Each fig34 lambda
     is calibrated once, in plan order, before the first cell, and the
     topology of an (alpha, seed) is built once for all its cells.
 
