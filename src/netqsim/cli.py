@@ -226,6 +226,7 @@ def _sweep(plan: ExperimentPlan, kind: str, progress) -> tuple[list[dict], list[
         for seed in plan.seeds:
             if progress:
                 progress(f"{kind} alpha={alpha} seed={seed}")
+            g = topology = None  # the last graph goes before the next one is built
             try:
                 g, topology = _build_topology(plan, alpha, seed)
             except Exception as exc:  # noqa: BLE001 - fails every cell of its (alpha, seed)
@@ -302,21 +303,21 @@ def average_records(
     return out
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _csv_lines(columns: list[str], rows):
+    """The header, then one line per row of values, each ending in a
+    newline; floats via repr so output is byte-stable and round-trips exactly."""
+    yield ",".join(columns) + "\n"
+    for row in rows:
+        yield ",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n"
 
 
 def emit_csv(records: list[dict], path: str, columns: list[str]) -> None:
-    """Header plus one row per record; floats via repr so output is
-    byte-stable and round-trips exactly."""
+    """Header plus one row per record, see `_csv_lines`."""
     if not records:
         raise ValueError("no records to write")
-    lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(rec[c]) for c in columns) for rec in records)
+    lines = list(_csv_lines(columns, ([rec[c] for c in columns] for rec in records)))
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.writelines(lines)
 
 
 def _avg_path(path: str) -> str:
@@ -459,14 +460,11 @@ def _cmd_run(args) -> int:
     if args.out:
         emit_csv([row], args.out, RUN_COLUMNS)
     else:
-        print(",".join(RUN_COLUMNS))
-        print(",".join(_fmt(row[c]) for c in RUN_COLUMNS))
+        sys.stdout.writelines(_csv_lines(RUN_COLUMNS, [[row[c] for c in RUN_COLUMNS]]))
     if args.queue_series:
         with open(args.queue_series, "w") as f:
-            f.write("step,total_queued\n")
-            f.writelines(
-                f"{i},{q}\n" for i, q in enumerate(metrics.queue_length_timeseries)
-            )
+            series = enumerate(metrics.queue_length_timeseries)
+            f.writelines(_csv_lines(["step", "total_queued"], series))
     return 0
 
 

@@ -676,6 +676,31 @@ def test_fig34_builds_no_distance_matrix(monkeypatch):
     assert len(rows_asked) == 4 and all(h < n for h, n in rows_asked)
 
 
+def test_fig12_load_pass_runs_with_one_live_graph(monkeypatch):
+    import gc
+
+    import netqsim.cli as cli
+
+    def live_graphs() -> int:
+        gc.collect()
+        return sum(isinstance(o, netqsim.graphs.Graph) for o in gc.get_objects())
+
+    real_load_and_cpl = cli.load_and_cpl
+    counts = []
+
+    def count_graphs(g):
+        counts.append(live_graphs() - before)
+        return real_load_and_cpl(g)
+
+    monkeypatch.setattr(cli, "load_and_cpl", count_graphs)
+    plan = ExperimentPlan(n_vertices=60, alphas=[0.0, 1.0], seeds=[1, 2])
+    before = live_graphs()
+    rows, _, failures = run_fig12_sweep(plan)
+    assert failures == [] and len(rows) == 4
+    # the previous (alpha, seed)'s graph is gone before the next load pass
+    assert counts == [1, 1, 1, 1]
+
+
 def _capture_runs(monkeypatch, calls: list):
     """Wrap `cli.run_sim` so that `calls` gets the arguments of every call."""
     import netqsim.cli as cli

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -124,6 +125,24 @@ def test_matches_sequential_reference():
     for g in kernel_graphs():
         for endpoints in (False, True):
             assert_matches_reference(compute_load(g, endpoints), g, endpoints)
+
+
+def test_load_bits_are_pinned_on_multi_block_giants():
+    # sha256 of the load bytes plus repr(cpl) of the seed-1 giants at
+    # N=500, <k>=3; each spans several blocks, so a new block size, which
+    # regroups the float sums, changes these bits and every sweep's load
+    # columns with them
+    expected = {
+        0.0: (473, "af4d8bfd6ef6b89ca60fcaf35c6a9165927b5a49a34bcc829cf28e0f2fa15684"),
+        0.5: (432, "61a6e67acae781c4e53870305114a5b801a586039b10254a4b7cc33d0eaa9435"),
+        1.0: (345, "e74b8f052067a272678a6776bff0426e0131b3ccddb9374034e97c6233b2cfb7"),
+    }
+    for alpha, (n, digest) in expected.items():
+        params = GenParams.from_avg_degree(500, 3.0, alpha, seed=1)
+        g, _ = giant_component(generate_static_model(params))
+        assert g.n_vertices == n > load_module._BLOCK_CELLS // n
+        load, cpl = load_and_cpl(g)
+        assert hashlib.sha256(load.tobytes() + repr(cpl).encode()).hexdigest() == digest
 
 
 def test_cpl_from_one_pass_equals_dense_oracle():

@@ -482,6 +482,25 @@ def test_default_block_sizes_leave_numpy_ma_unimported():
     assert proc.stdout == "False\n"
 
 
+def test_sweeps_leave_heavy_modules_unimported():
+    # numpy.ma alone adds about 1.6 MiB of peak RSS; scipy and networkx are test extras
+    src = Path(netqsim.__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        "from netqsim.cli import ExperimentPlan, run_fig12_sweep, run_fig34_sweep\n"
+        "plan = ExperimentPlan(n_vertices=30, avg_degree=2.0, alphas=[0.0, 1.0],\n"
+        "                      lambdas=[0.2], seeds=[1], warmup_steps=20, measure_steps=100)\n"
+        "for sweep in (run_fig12_sweep, run_fig34_sweep):\n"
+        "    rows, _, failures = sweep(plan)\n"
+        "    assert rows and not failures, failures\n"
+        "print(sorted(m for m in ('numpy.ma', 'scipy', 'networkx') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 # -- trace export ------------------------------------------------------------------------
 
 @pytest.mark.parametrize("fmt", ["raw", "rle"])
