@@ -32,10 +32,6 @@ from .traffic import (
     write_bit_trace,
 )
 
-# Fixed seed for the d-calibration objective so that a plan is a pure
-# function of its own seed list.
-_CALIBRATION_SEED = 1_234_567
-
 _TOPOLOGY_COLUMNS = ["n_giant", "cpl", "load_mean", "load_nstd"]
 _SIM_COLUMNS = ["generated", "delivered", "mean_delivery_time", "in_flight", "max_queue"]
 RUN_COLUMNS = ["alpha", "gamma", "lambda", "seed", *_SIM_COLUMNS]
@@ -67,7 +63,6 @@ class ExperimentPlan:
     m2: float = 2.0
     warmup_steps: int = 1000
     measure_steps: int = 10_000
-    calib_tol: float = 0.01
     out: str | None = None
 
     def validate(self) -> None:
@@ -112,8 +107,6 @@ class ExperimentPlan:
             raise ValidationError("warmup: must be >= 0")
         if self.measure_steps < 1:
             raise ValidationError("steps: must be >= 1")
-        if not 0.0 < self.calib_tol < 1.0:
-            raise ValidationError("calib_tol: must lie in (0, 1)")
 
 
 def _list_of(kind):
@@ -133,12 +126,8 @@ _PLAN_KEYS = {
     "m2": ("m2", float),
     "warmup": ("warmup_steps", int),
     "steps": ("measure_steps", int),
-    "calib_tol": ("calib_tol", float),
     "out": ("out", str),
 }
-
-# Plan keys that `sweep` takes as flags; calib_tol is set in a config file only.
-_SWEEP_FLAGS = [key for key in _PLAN_KEYS if key != "calib_tol"]
 
 
 def parse_plan(text: str, overrides: dict[str, str] | None = None) -> ExperimentPlan:
@@ -201,21 +190,20 @@ def _sweep(plan: ExperimentPlan, kind: str, progress) -> tuple[list[dict], list[
     is calibrated once, in plan order, before the first cell, and the
     topology of an (alpha, seed) is built once for all its cells.
 
-    A failing cell is recorded and skipped so the rest of the sweep
-    survives. It fails with its topology's error first, then its lambda's
-    calibration error, then its own. The seed average groups by the columns
-    before "seed" and averages those after it. Returns (per-seed rows,
-    seed-averaged rows, failures).
+    The plan is validated before anything runs. A failing cell is recorded
+    and skipped so the rest of the sweep survives. It fails with its
+    topology's error first, then its lambda's calibration error, then its
+    own. The seed average groups by the columns before "seed" and averages
+    those after it. Returns (per-seed rows, seed-averaged rows, failures).
     """
+    plan.validate()
     columns = FIG34_COLUMNS if kind == "fig34" else FIG12_COLUMNS
     calibrated = {None: None}  # a fig12 cell has no lambda and runs no simulation
     if kind == "fig34":
         calibrated = {}  # lambda -> d, or the error of its failed calibration
         for lam in plan.lambdas:
             try:
-                calibrated[lam] = calibrate_d(
-                    plan.m1, plan.m2, lam, tol=plan.calib_tol, seed=_CALIBRATION_SEED
-                )
+                calibrated[lam] = calibrate_d(plan.m1, plan.m2, lam)
             except Exception as exc:  # noqa: BLE001 - fails every cell of its lambda
                 calibrated[lam] = exc
     shared = _Shared()
@@ -372,19 +360,16 @@ def _cmd_load(args) -> int:
 
 def _source_params(args) -> tuple[ErramilliParams, float]:
     """The map exponents with the threshold d from --d, or calibrated to
-    --target-lambda within --tol (the plan's default when not given); also
-    the target rate (nan for --d)."""
+    --target-lambda as a sweep calibrates it; also the target rate (nan for
+    --d)."""
     if args.d is not None:
         return ErramilliParams(args.m1, args.m2, args.d), float("nan")
-    tol = ExperimentPlan.calib_tol if args.tol is None else args.tol
-    d = calibrate_d(args.m1, args.m2, args.target_lambda, tol=tol, seed=_CALIBRATION_SEED)
+    d = calibrate_d(args.m1, args.m2, args.target_lambda)
     return ErramilliParams(args.m1, args.m2, d), args.target_lambda
 
 
 def _cmd_traffic(args) -> int:
     _check_seed(args.seed)  # a bad seed is named before any flag conflict
-    if args.tol is not None and args.target_lambda is None:
-        raise ValidationError("--tol requires --target-lambda")
     if args.format is not None and not args.out:
         raise ValidationError("--format requires --out")
     if args.bits is None:
@@ -395,6 +380,8 @@ def _cmd_traffic(args) -> int:
         raise ValidationError(f"--bits: must be >= 1, got {args.bits}")
     elif not (args.out or args.hurst):
         raise ValidationError("--bits requires --out or --hurst")
+    if args.d is not None and not args.estimate_rate and args.bits is None:
+        raise ValidationError("--d requires --estimate-rate or --bits")
     _check_out("--out", args.out)
     if args.hurst:
         max_block = max(1000, args.bits // 100)
@@ -423,8 +410,6 @@ def _cmd_traffic(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.tol is not None and args.target_lambda is None:
-        raise ValidationError("--tol requires --target-lambda")
     _check_out("--out", args.out)
     _check_out("--queue-series", args.queue_series)
     if args.out and args.queue_series and (
@@ -474,7 +459,7 @@ def _cmd_sweep(args) -> int:
         with open(args.config) as f:
             text = f.read()
     overrides = {
-        key: getattr(args, key) for key in _SWEEP_FLAGS if getattr(args, key) is not None
+        key: getattr(args, key) for key in _PLAN_KEYS if getattr(args, key) is not None
     }
     try:
         plan = parse_plan(text, overrides)
@@ -506,13 +491,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _add_source_args(p: argparse.ArgumentParser) -> None:
-    """Map exponents, exactly one of --d / --target-lambda, and its --tol (see _source_params)."""
+    """Map exponents and exactly one of --d / --target-lambda (see _source_params)."""
     p.add_argument("--m1", type=float, default=ExperimentPlan.m1)
     p.add_argument("--m2", type=float, default=ExperimentPlan.m2)
     threshold = p.add_mutually_exclusive_group(required=True)
     threshold.add_argument("--d", type=float)
     threshold.add_argument("--target-lambda", type=float)
-    p.add_argument("--tol", type=float)
 
 
 def _build_parser() -> _Parser:
@@ -567,7 +551,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="figure-dataset sweeps over (alpha, lambda, seed)")
     p.add_argument("--kind", choices=["fig12", "fig34"], required=True)
     p.add_argument("--config", help="key = value plan file")
-    for key in _SWEEP_FLAGS:
+    for key in _PLAN_KEYS:
         p.add_argument("--" + key.replace("_", "-"), dest=key)
     p.set_defaults(func=_cmd_sweep)
     return parser

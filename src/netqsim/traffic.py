@@ -25,6 +25,9 @@ _N_ORBITS = 8
 # Steps per on_count call of the rate loop; calibrate_d's early stop looks
 # at the count this often.
 _RATE_CHUNK = 4096
+# calibrate_d's default seed: every sweep and command calibrates with it, so
+# that a plan is a pure function of its own seed list.
+_CALIBRATION_SEED = 1_234_567
 
 
 class NoConvergence(RuntimeError):
@@ -233,7 +236,7 @@ def calibrate_d(
     m2: float,
     target_lambda: float,
     tol: float = 0.01,
-    seed=0,
+    seed=_CALIBRATION_SEED,
     samples: int = 100_000,
     max_steps: int = 60,
 ) -> float:
@@ -242,11 +245,16 @@ def calibrate_d(
     The On rate decreases in d (larger Off interval), and evaluations reuse
     the same seed so the objective is a fixed deterministic function of d:
     the rate is `estimate_rate(..., samples=samples, seed=seed)` with its
-    other defaults. A midpoint's orbits stop as soon as the On count so far
-    decides the side: too high once its lower bound is above the band
-    `|rate - target_lambda| <= tol`, too low once its upper bound (every
-    step left On) is below it. Float division and subtraction are monotone,
-    so each decision, and the returned d, are those of the full estimate.
+    other defaults. That function is noisy between nearby d (between d
+    values 1e-9 apart its relative sd is 28-47%), so `tol` bounds this
+    fixed-seed estimate, not the rate a source at the returned d realises.
+    The defaults are the calibration of every sweep and command.
+
+    A midpoint's orbits stop as soon as the On count so far decides the
+    side: too high once its lower bound is above the band `|rate -
+    target_lambda| <= tol`, too low once its upper bound (every step left
+    On) is below it. Float division and subtraction are monotone, so each
+    decision, and the returned d, are those of the full estimate.
     """
     if not 0.0 < target_lambda < 1.0:
         raise ValueError("target_lambda must lie in (0, 1)")

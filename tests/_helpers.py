@@ -19,7 +19,7 @@ from netqsim import (
     measure_load_proxy,
 )
 from netqsim.graphs import all_pairs_hop_distances
-from netqsim.traffic import _BURN_IN, _ENDPOINT_EPS
+from netqsim.traffic import _BURN_IN, _CALIBRATION_SEED, _ENDPOINT_EPS
 
 
 def path_graph(n: int) -> Graph:
@@ -427,7 +427,7 @@ def reference_calibrate_d(
     m2: float,
     target_lambda: float,
     tol: float = 0.01,
-    seed=0,
+    seed=_CALIBRATION_SEED,
     samples: int = 100_000,
     max_steps: int = 60,
 ) -> float:

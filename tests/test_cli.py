@@ -15,13 +15,21 @@ import netqsim.graphs
 import netqsim.sim
 from netqsim import (
     ErramilliParams,
+    ErramilliSource,
     GenParams,
+    Graph,
     NoConvergence,
     SimConfig,
+    calibrate_d,
+    compute_load,
+    default_block_sizes,
     generate_static_model,
     giant_component,
+    hurst_aggregated_variance,
+    load_stats,
     read_edge_list,
     run,
+    write_edge_list,
 )
 from netqsim.cli import (
     FIG12_COLUMNS,
@@ -127,8 +135,6 @@ def test_validation_errors_name_the_field():
         ("n = 4\navg_degree = 4\n", "avg_degree: exceeds the simple-graph maximum"),
         ("warmup = -1\n", "warmup: must be >= 0"),
         ("steps = 0\n", "steps: must be >= 1"),
-        ("calib_tol = 0\n", "calib_tol: must lie in (0, 1)"),
-        ("calib_tol = 1\n", "calib_tol: must lie in (0, 1)"),
     ):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             parse_plan(text)
@@ -271,6 +277,27 @@ def test_gen_load_run_pipeline(tmp_path, capsys):
     assert len(lines) == 1 + 120
 
 
+def test_load_giant_writes_the_giant_only(tmp_path, capsys):
+    # a path of 5 vertices and a separate edge: only the path is written
+    edges = tmp_path / "graph.txt"
+    write_edge_list(Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6)]), str(edges))
+    out = tmp_path / "load.csv"
+    assert main(["load", "--edges", str(edges), "--giant", "--out", str(out)]) == 0
+    giant, _ = giant_component(read_edge_list(str(edges))[0])
+    stats = load_stats(compute_load(giant))
+    *rows, footer = out.read_text().splitlines()
+    assert rows[0] == "vertex,load" and len(rows) == 1 + giant.n_vertices == 6
+    fields = dict(token.split("=") for token in footer.removeprefix("# ").split())
+    assert fields == {
+        "mean": repr(stats.mean), "std": repr(stats.std),
+        "normalized_std": repr(stats.normalized_std), "max": repr(stats.max),
+        "argmax": str(stats.argmax_vertex),
+    }
+    assert capsys.readouterr().out == (
+        f"wrote {out}: mean={stats.mean!r} normalized_std={stats.normalized_std!r}\n"
+    )
+
+
 def test_run_queue_series_writes_every_step_of_the_run(tmp_path):
     # d = 0.5 saturates the graph, so the counts pass 256
     series = tmp_path / "series.csv"
@@ -311,12 +338,26 @@ def test_traffic_trace_and_rate(tmp_path, capsys):
 
 def test_traffic_calibration_prints_d(capsys):
     assert main([
-        "traffic", "--m1", "1.7", "--m2", "1.7", "--target-lambda", "0.3",
-        "--tol", "0.05", "--seed", "2",
+        "traffic", "--m1", "1.7", "--m2", "1.7", "--target-lambda", "0.3", "--seed", "2",
     ]) == 0
     out = capsys.readouterr().out
     d = float(out.split("d=")[1].split()[0])
     assert 0.0 < d < 1.0
+
+
+def test_calibrate_d_defaults_give_the_cli_d(capsys):
+    # calibrate_d's default seed and band are those of every sweep and command
+    assert main(["traffic", "--target-lambda", "0.05"]) == 0
+    assert capsys.readouterr().out == "d=0.898437499203125\n"
+    assert calibrate_d(2.0, 2.0, 0.05) == 0.898437499203125
+
+
+def test_traffic_hurst_prints_the_estimate_of_the_bits(capsys):
+    assert main(["traffic", "--d", "0.5", "--bits", "100000", "--hurst"]) == 0
+    bits = ErramilliSource(ErramilliParams(2, 2, 0.5), seed=0).bits(100000)
+    h = hurst_aggregated_variance(bits, default_block_sizes(10, 1000))
+    assert h == 0.9316325212928235
+    assert capsys.readouterr().out == f"hurst={h!r}\n"
 
 
 def test_traffic_flag_conflicts(capsys):
@@ -330,18 +371,6 @@ def test_traffic_flag_conflicts(capsys):
     assert main(["run", "--edges", "g.txt", "--alpha", "0.9", "--d", "0.9"]) == 1
     assert main(["run", "--d", "0.9"]) == 1
     assert capsys.readouterr().err.count("--edges") == 2
-
-
-@pytest.mark.parametrize("command", [
-    ["traffic", "--d", "0.5", "--tol", "0.7", "--estimate-rate"],
-    ["run", "--alpha", "0", "--n", "100", "--d", "0.9", "--tol", "5", "--out", "r.csv"],
-])
-def test_tol_without_target_lambda_names_the_flag(command, tmp_path, monkeypatch, capsys):
-    # --tol only tunes the calibration to --target-lambda; with --d it did nothing
-    monkeypatch.chdir(tmp_path)
-    assert main(command) == 1
-    assert capsys.readouterr() == ("", "error: --tol requires --target-lambda\n")
-    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("series", ["same.csv", "./same.csv"])
@@ -360,7 +389,7 @@ def test_run_rejects_one_file_for_out_and_queue_series(series, tmp_path, monkeyp
     (["--d", "0.9", "--rho", "5"], "rho must lie in (0, 1]"),
     (["--d", "0.9", "--m1", "3"], "m1 must lie in [1.5, 2.0]"),
     (["--d", "0.9", "--warmup", "-1"], "warmup_steps must be an integer >= 0, got -1"),
-    (["--target-lambda", "0.05", "--tol", "5"], "tol must lie in (0, 1), got 5.0"),
+    (["--target-lambda", "1.5"], "target_lambda must lie in (0, 1)"),
 ])
 @pytest.mark.parametrize("graph", [["--alpha", "1", "--n", "20000"], ["--edges", "g.txt"]])
 def test_run_rejects_its_flags_before_the_graph(graph, flags, message, monkeypatch, capsys):
@@ -406,6 +435,8 @@ def test_run_rejects_its_flags_before_calibrating(flags, message, monkeypatch, c
     (["--bits", "10", "--estimate-rate"], "--bits requires --out or --hurst"),
     (["--format", "rle", "--estimate-rate"], "--format requires --out"),
     (["--bits", "200000", "--hurst", "--format", "rle"], "--format requires --out"),
+    ([], "--d requires --estimate-rate or --bits"),
+    (["--seed", "3"], "--d requires --estimate-rate or --bits"),
 ])
 def test_traffic_with_no_bits_to_draw_names_the_flag(flags, message, tmp_path, monkeypatch,
                                                      capsys):
@@ -676,6 +707,24 @@ def test_fig34_builds_no_distance_matrix(monkeypatch):
     assert len(rows_asked) == 4 and all(h < n for h, n in rows_asked)
 
 
+@pytest.mark.parametrize("sweep, plan, field", [
+    (run_fig12_sweep, ExperimentPlan(n_vertices=40, alphas=[0.0, 0.0], seeds=[0]), "alphas"),
+    (run_fig34_sweep, ExperimentPlan(n_vertices=40, seeds=[0], rho=5.0), "rho"),
+], ids=["fig12-repeated-alpha", "fig34-rho"])
+def test_sweep_validates_its_plan_first(sweep, plan, field, monkeypatch):
+    # unchecked, a repeated alpha averages one seed as two, and an
+    # out-of-range rho fails every cell instead of the plan
+    import netqsim.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked on a plan that fails validation")
+
+    monkeypatch.setattr(cli, "generate_static_model", no_work)
+    monkeypatch.setattr(cli, "calibrate_d", no_work)
+    with pytest.raises(ValidationError, match=f"^{field}: "):
+        sweep(plan)
+
+
 def test_fig12_load_pass_runs_with_one_live_graph(monkeypatch):
     import gc
 
@@ -753,7 +802,7 @@ def test_fig34_sweep_rows_equal_runs_without_the_store(monkeypatch):
 def test_fig34_sweep_draws_each_stream_and_route_once(monkeypatch):
     import netqsim.cli as cli
     from netqsim.sim import assign_hosts
-    from netqsim.traffic import _BURN_IN, ErramilliSource
+    from netqsim.traffic import _BURN_IN
 
     map_steps = [0, 0]  # all, in calibrate_d
 
@@ -786,7 +835,7 @@ def test_fig34_sweep_draws_each_stream_and_route_once(monkeypatch):
     _capture_runs(monkeypatch, calls)
     plan = ExperimentPlan(
         n_vertices=80, avg_degree=3.0, alphas=[0.0, 0.5, 1.0], lambdas=[0.1, 0.2],
-        seeds=[0, 1], warmup_steps=100, measure_steps=1100, calib_tol=0.05,
+        seeds=[0, 1], warmup_steps=100, measure_steps=1100,
     )
     rows, _, failures = run_fig34_sweep(plan)
     assert failures == [] and len(rows) == len(calls) == 12
@@ -987,6 +1036,25 @@ def test_help_exits_zero_and_names_every_subcommand(capsys):
     assert proc.stdout.startswith(usage)
     assert main(["--help"]) == 0
     assert capsys.readouterr().out.startswith(usage)
+
+
+def test_readme_cli_section_names_only_real_flags_and_plan_keys():
+    # a flag or plan key that the CLI drops must leave README's CLI section too
+    from netqsim.cli import _PLAN_KEYS, _build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    parser = _build_parser()
+    options = set(parser._option_string_actions)
+    for sub in next(a for a in parser._actions if a.dest == "command").choices.values():
+        options.update(sub._option_string_actions)
+    flags = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+    assert "--help" in flags and not flags - options, sorted(flags - options)
+    blocks = re.findall(r"^```\w*\n(.*?)^```", section, re.S | re.M)
+    configs = [b for b in blocks if all(re.match(r"\w+ = ", line) for line in b.splitlines())]
+    assert len(configs) == 1
+    keys = {line.split(" = ")[0] for line in configs[0].splitlines()}
+    assert "n" in keys and keys <= set(_PLAN_KEYS), sorted(keys - set(_PLAN_KEYS))
 
 
 def test_package_imports_no_scipy():

@@ -21,7 +21,7 @@ from netqsim import (
     hurst_aggregated_variance,
     write_bit_trace,
 )
-from netqsim.cli import _CALIBRATION_SEED, ExperimentPlan
+from netqsim.cli import ExperimentPlan
 from _helpers import (
     TAIL_BAND, advance, kernel_bits, map_step, read_bit_trace, reference_calibrate_d,
     repin_gate, sojourns, tail_ratios,
@@ -414,10 +414,7 @@ def test_calibration_early_stop_matches_full_bisection(monkeypatch):
 
 def test_default_grid_calibrates_to_pinned_d():
     plan = ExperimentPlan()
-    d = {
-        lam: calibrate_d(plan.m1, plan.m2, lam, tol=plan.calib_tol, seed=_CALIBRATION_SEED)
-        for lam in plan.lambdas
-    }
+    d = {lam: calibrate_d(plan.m1, plan.m2, lam) for lam in plan.lambdas}
     assert d == {
         0.005: 0.98437499903125,
         0.01: 0.9687499990624999,
