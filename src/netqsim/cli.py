@@ -69,7 +69,7 @@ class ExperimentPlan:
         for name, value in (
             ("n", self.n_vertices), ("warmup", self.warmup_steps), ("steps", self.measure_steps)
         ):
-            if not isinstance(value, numbers.Integral):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValidationError(f"{name}: {value!r} is not an integer")
         if self.n_vertices < 2:
             raise ValidationError("n: need at least 2 vertices")
@@ -88,7 +88,7 @@ class ExperimentPlan:
             if repeated:
                 raise ValidationError(f"{name}: {repeated[0]} repeated")
         for seed in self.seeds:
-            if not isinstance(seed, numbers.Integral):
+            if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
                 raise ValidationError(f"seeds: {seed!r} is not an integer")
             if seed < 0:
                 raise ValidationError(f"seeds: {seed} is negative")
@@ -214,7 +214,9 @@ def _sweep(plan: ExperimentPlan, kind: str, progress) -> tuple[list[dict], list[
         for seed in plan.seeds:
             if progress:
                 progress(f"{kind} alpha={alpha} seed={seed}")
-            g = topology = None  # the last graph goes before the next one is built
+            # the last graph goes before the next one is built, with the run
+            # config and the store's layout that still refer to it
+            g = topology = config = shared._layout = None
             try:
                 g, topology = _build_topology(plan, alpha, seed)
             except Exception as exc:  # noqa: BLE001 - fails every cell of its (alpha, seed)

@@ -53,7 +53,7 @@ class GenParams:
     def __post_init__(self) -> None:
         for name, low in (("n_vertices", 1), ("n_edges", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < low:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         max_edges = self.n_vertices * (self.n_vertices - 1) // 2
         if self.n_edges > max_edges:

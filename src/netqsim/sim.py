@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import UNREACHABLE, Graph, _csr, _hop_distances
-from .traffic import ErramilliParams, ErramilliSource, _check_int
+from .traffic import _BURN_IN, ErramilliParams, ErramilliSource, _check_int
 
 
 # Steps per block of source bits in SimState.run_steps; bounds the spawn
@@ -153,34 +153,51 @@ class _Shared:
     2 + i of SeedSequence(seed). Its spawn key does not depend on the number
     of hosts, so runs of one (traffic, seed) on different graphs replay the
     same first streams: each is drawn once and held, packed eight bits to a
-    byte (`np.packbits`) next to its source, while the store lives. The
+    byte (`np.packbits`), while the store lives. `run` draws each host's
+    whole window with `draw`, which lets the source go and keeps the packed
+    bits only; a later read past them rebuilds the source from its key. The
     layout is kept for the last (graph, hosts) only, as the runs of one
-    graph are consecutive. A `SimState` without a store makes its own.
+    graph are consecutive, until the next layout replaces it or the owner
+    sets `_layout` to None. A `SimState` without a store makes its own, and
+    stepped on its own it extends a stream block by block, source kept.
     """
 
     def __init__(self):
-        # (traffic, seed, i) -> (source, packed bits)
-        self._streams: dict[tuple, tuple[ErramilliSource, bytearray]] = {}
+        # (traffic, seed, i) -> (source, or None once let go; packed bits)
+        self._streams: dict[tuple, tuple[ErramilliSource | None, bytearray]] = {}
         self._layout = None
 
-    def bits(self, key: tuple, start: int, count: int) -> np.ndarray:
-        """Bits start .. start + count - 1 (uint8) of stream `key`. Missing
+    def _held(self, key: tuple, end: int) -> bytearray:
+        """Stream `key`'s packed bits, 0 .. end - 1 at least. Missing
         bytes are drawn whole, and stored only once drawn, so a run that
         raises leaves no half-extended stream; the source stands just past
-        the bits held."""
-        if key not in self._streams:
-            traffic, seed, i = key
-            child = np.random.SeedSequence(seed, spawn_key=(2 + i,))
-            self._streams[key] = (ErramilliSource(traffic, seed=child), bytearray())
-        source, packed = self._streams[key]
-        end = start + count
+        the bits held. A source let go is rebuilt with the held bits added
+        to its burn-in, which steps the orbit as `bits()` would."""
+        source, packed = self._streams.get(key) or (None, bytearray())
         missing = -(-end // 8) - len(packed)
         if missing > 0:
+            if source is None:
+                traffic, seed, i = key
+                child = np.random.SeedSequence(seed, spawn_key=(2 + i,))
+                source = ErramilliSource(traffic, seed=child, burn_in=_BURN_IN + 8 * len(packed))
             packed += np.packbits(source.bits(8 * missing)).tobytes()
+            self._streams[key] = (source, packed)
+        return packed
+
+    def bits(self, key: tuple, start: int, count: int) -> np.ndarray:
+        """Bits start .. start + count - 1 (uint8) of stream `key`, see `_held`."""
+        end = start + count
+        packed = self._held(key, end)
         lo = start // 8
         # a live frombuffer view would make the next `packed +=` raise
         held = np.unpackbits(np.frombuffer(packed, dtype=np.uint8)[lo:], count=end - 8 * lo)
         return held[start - 8 * lo:]
+
+    def draw(self, keys: list[tuple], count: int) -> None:
+        """Hold bits 0 .. count - 1 of each stream of `keys`, then let its
+        source go."""
+        for key in keys:
+            self._streams[key] = (None, self._held(key, count))
 
     def layout(self, graph: Graph, hosts: list[int]):
         """(sorted hosts, routes, hops): the hosts, their `_route_tables`,
@@ -452,9 +469,12 @@ class SimState:
 def run(config: SimConfig, _shared: _Shared | None = None) -> SimMetrics:
     """Execute warmup then measurement; every host must reach every other.
 
-    Warmup steps feed the queues; the window counts are the run totals after
-    the measurement steps minus those after the warmup, so the throughput is
-    the packets delivered inside the window. Deterministic per (config, seed),
+    Before the first step, each host's bits for the whole run (warmup and
+    measurement, in whole bytes) are drawn from the store in one call, which
+    then holds them packed and lets the source go (`_Shared.draw`). Warmup
+    steps feed the queues; the window counts are the run totals after the
+    measurement steps minus those after the warmup, so the throughput is the
+    packets delivered inside the window. Deterministic per (config, seed),
     with or without the store `_shared` of a sweep's runs.
     """
     g = config.graph
@@ -465,6 +485,7 @@ def run(config: SimConfig, _shared: _Shared | None = None) -> SimMetrics:
         seed=config.seed,
         _shared=_shared,
     )
+    state._shared.draw(state._keys, config.warmup_steps + config.measure_steps)
     state.run_steps(config.warmup_steps)
     warm = (state.generated_total, state.delivered_total, state.delay_total)
     state.run_steps(config.measure_steps)

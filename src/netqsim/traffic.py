@@ -185,7 +185,9 @@ def _orbit_kernel(p: ErramilliParams, x: float, out: bytearray, rand) -> float:
 
 
 def _check_int(name: str, value, low: int) -> None:
-    if not isinstance(value, numbers.Integral) or value < low:
+    """Raise ValueError unless `value` is an integer >= `low`; a bool is
+    not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 

@@ -153,10 +153,15 @@ def test_repeated_plan_values_are_rejected(field, values, repeated):
 @pytest.mark.parametrize("field, kwargs", [
     ("n", {"n_vertices": 40.5}), ("seeds", {"seeds": [0, 1.5]}),
     ("warmup", {"warmup_steps": 10.5}), ("steps", {"measure_steps": 100.5}),
+    ("n", {"n_vertices": True}), ("seeds", {"seeds": [True]}),
+    ("warmup", {"warmup_steps": False}), ("steps", {"measure_steps": True}),
 ])
 def test_non_integer_plan_values_are_rejected(field, kwargs):
-    # each would otherwise fail every fig34 cell in SimConfig, SeedSequence or range
-    with pytest.raises(ValidationError, match=f"^{field}: [0-9.]+ is not an integer$"):
+    # each would otherwise fail every fig34 cell in SimConfig, SeedSequence
+    # or range; a bool would run, and write True into the seed column
+    (value,) = kwargs.values()
+    bad = value[-1] if isinstance(value, list) else value
+    with pytest.raises(ValidationError, match=f"^{field}: {re.escape(repr(bad))} is not an integer$"):
         ExperimentPlan(**kwargs).validate()
 
 
@@ -725,10 +730,15 @@ def test_sweep_validates_its_plan_first(sweep, plan, field, monkeypatch):
         sweep(plan)
 
 
-def test_fig12_load_pass_runs_with_one_live_graph(monkeypatch):
+@pytest.mark.parametrize("sweep", [run_fig12_sweep, run_fig34_sweep], ids=["fig12", "fig34"])
+def test_load_pass_runs_with_one_live_graph(sweep, monkeypatch):
+    # a fig34 sweep's store keeps no layout, and its cell loop no run
+    # config, of the previous (alpha, seed)'s graph
     import gc
 
     import netqsim.cli as cli
+
+    monkeypatch.setattr(cli, "calibrate_d", lambda m1, m2, lam, **kw: 0.85)
 
     def live_graphs() -> int:
         gc.collect()
@@ -742,9 +752,12 @@ def test_fig12_load_pass_runs_with_one_live_graph(monkeypatch):
         return real_load_and_cpl(g)
 
     monkeypatch.setattr(cli, "load_and_cpl", count_graphs)
-    plan = ExperimentPlan(n_vertices=60, alphas=[0.0, 1.0], seeds=[1, 2])
+    plan = ExperimentPlan(
+        n_vertices=60, alphas=[0.0, 1.0], lambdas=[0.1], seeds=[1, 2],
+        warmup_steps=10, measure_steps=50,
+    )
     before = live_graphs()
-    rows, _, failures = run_fig12_sweep(plan)
+    rows, _, failures = sweep(plan)
     assert failures == [] and len(rows) == 4
     # the previous (alpha, seed)'s graph is gone before the next load pass
     assert counts == [1, 1, 1, 1]
@@ -853,6 +866,8 @@ def test_fig34_sweep_draws_each_stream_and_route_once(monkeypatch):
     assert route_builds[0] == len(plan.alphas) * len(plan.seeds)
     held = sum(len(packed) for _, packed in store._streams.values())
     assert held == sum(max_hosts.values()) * math.ceil(steps / 8)
+    # each run drew its hosts' windows whole, and the store let the sources go
+    assert not any(isinstance(source, ErramilliSource) for source, _ in store._streams.values())
     assert held <= len(plan.seeds) * len(plan.lambdas) * max(max_hosts.values()) * math.ceil(steps / 8)
     # a second sweep has its own store and draws every stream again
     map_steps[:] = [0, 0]

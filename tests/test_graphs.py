@@ -56,9 +56,13 @@ def test_genparams_validation():
     ((10, 0, 0.5, 1), "n_edges must be an integer >= 1, got 0"),
     ((10, 5, 0.5, 1.5), "seed must be an integer >= 0, got 1.5"),
     ((10, 5, 0.5, -1), "seed must be an integer >= 0, got -1"),
+    ((True, 0, 0.5, 1), "n_vertices must be an integer >= 1, got True"),
+    ((10, True, 0.5, 1), "n_edges must be an integer >= 1, got True"),
+    ((10, 5, 0.5, False), "seed must be an integer >= 0, got False"),
 ])
 def test_genparams_names_a_bad_count_or_seed(args, message):
-    # a float count or seed used to pass, then fail deep in the generator
+    # a float count or seed used to pass, then fail deep in the generator;
+    # a bool is an int to Python, but not a count or a seed
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         GenParams(*args)
 

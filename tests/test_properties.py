@@ -329,6 +329,51 @@ def test_replayed_streams_equal_fresh_sources(short_first, m1, m2, d, seed, firs
     assert sum(len(packed) for _, packed in shared._streams.values()) == nbytes
 
 
+@settings(max_examples=25)
+@given(
+    m1=st.floats(1.5, 2.0), m2=st.floats(1.5, 2.0), d=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**16), warmup=st.integers(0, 200), measure=st.integers(1, 600),
+    reads=st.lists(st.tuples(st.integers(0, 900), st.integers(1, _BLOCK_STEPS + 300)),
+                   min_size=1, max_size=3),
+)
+def test_released_streams_extend_as_fresh_sources(m1, m2, d, seed, warmup, measure, reads):
+    # `run` draws each host's window and lets its source go; its steps equal
+    # a bare state's, which extends its streams block by block. A later,
+    # longer read rebuilds the source from its key: every bit the store
+    # answers or holds, and the rebuilt source's point, are a fresh source's.
+    params = ErramilliParams(m1, m2, d)
+    g = grid_graph(3, 4)
+    config = netqsim.sim.SimConfig(graph=g, rho=0.5, traffic=params, warmup_steps=warmup,
+                                   measure_steps=measure, seed=seed)
+    shared = _Shared()
+    metrics = netqsim.sim.run(config, shared)
+    bare = SimState(g, netqsim.sim.assign_hosts(g, 0.5, seed), traffic=params, seed=seed)
+    bare.run_steps(warmup)
+    bare.run_steps(measure)
+    assert metrics.queue_length_timeseries == bare.queue_series
+    assert metrics.generated_total == bare.generated_total
+    window = math.ceil((warmup + measure) / 8)
+    assert [(source, len(packed)) for source, packed in shared._streams.values()] == (
+        [(None, window)] * len(bare.hosts)
+    )
+    children = np.random.SeedSequence(seed).spawn(2 + len(bare.hosts))
+    for i in range(len(bare.hosts)):
+        key = (params, seed, i)
+        ends = [8 * window]
+        for start, count in reads:
+            got = shared.bits(key, start, count)
+            ends.append(8 * math.ceil((start + count) / 8))
+            fresh = ErramilliSource(params, seed=children[2 + i])
+            assert np.array_equal(got, fresh.bits(start + count)[start:])
+        source, packed = shared._streams[key]
+        fresh = ErramilliSource(params, seed=children[2 + i])
+        assert bytes(packed) == np.packbits(fresh.bits(max(ends))).tobytes()
+        if max(ends) > 8 * window:
+            assert source.x == fresh.x
+        else:
+            assert source is None
+
+
 @st.composite
 def call_sizes(draw) -> list[int]:
     """Up to 6 `bits` call sizes, 3000 steps in all at most."""

@@ -435,6 +435,14 @@ def test_run_requires_connected_graph():
     for bad in ({"warmup_steps": 1.5}, {"warmup_steps": -1}, {"measure_steps": 2.0}):
         with pytest.raises(ValueError, match="steps"):
             SimConfig(graph=g, rho=1.0, **bad)
+    # nor is a bool a count or a seed: run_steps(True) would advance one step
+    for name, bad in (("measure_steps", True), ("seed", False)):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= ., got {bad}$"):
+            SimConfig(graph=g, rho=1.0, **{name: bad})
+    st = SimState(g, [0, 1], traffic=None)
+    with pytest.raises(ValueError, match=r"^count must be an integer >= 0, got True$"):
+        st.run_steps(True)
+    assert st.clock == 0
 
 
 def test_hosts_must_be_mutually_reachable():

@@ -383,8 +383,11 @@ def test_negative_burn_in_or_seed_is_named(make, name):
      "samples must be an integer >= 1, got 1500.0"),
     (lambda p: calibrate_d(2, 2, 0.1, max_steps=1.5),
      "max_steps must be an integer >= 1, got 1.5"),
+    (lambda p: ErramilliSource(p, seed=True), "seed must be an integer >= 0, got True"),
+    (lambda p: ErramilliSource(p).bits(True), "count must be an integer >= 0, got True"),
+    (lambda p: estimate_rate(p, n_orbits=True), "n_orbits must be an integer >= 1, got True"),
 ], ids=["source-seed", "source-burn_in", "estimate_rate-samples", "calibrate_d-samples",
-        "calibrate_d-max_steps"])
+        "calibrate_d-max_steps", "source-seed-bool", "source-bits-bool", "estimate_rate-n_orbits-bool"])
 def test_non_integer_counts_and_seeds_are_named(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(ErramilliParams())
