@@ -11,12 +11,13 @@ loop, for `_hop_distances` (the simulator's host rows; from every vertex,
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
 
 import numpy as np
+
+from .traffic import _check_int
 
 UNREACHABLE = -1
 
@@ -52,9 +53,7 @@ class GenParams:
 
     def __post_init__(self) -> None:
         for name, low in (("n_vertices", 1), ("n_edges", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            _check_int(name, getattr(self, name), low)
         max_edges = self.n_vertices * (self.n_vertices - 1) // 2
         if self.n_edges > max_edges:
             raise ValueError(

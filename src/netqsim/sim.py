@@ -23,8 +23,8 @@ from .graphs import UNREACHABLE, Graph, _csr, _hop_distances
 from .traffic import _BURN_IN, ErramilliParams, ErramilliSource, _check_int
 
 
-# Steps per block of source bits in SimState.run_steps; bounds the spawn
-# lists a block holds, whatever the number of steps asked for.
+# Steps per block of SimState.run_steps; bounds the spawn lists a block
+# holds, whatever the number of steps asked for.
 _BLOCK_STEPS = 1024
 # (host, CSR slot) cells per block of _route_tables; bounds its temporaries
 # whatever the number of hosts.
@@ -153,51 +153,40 @@ class _Shared:
     2 + i of SeedSequence(seed). Its spawn key does not depend on the number
     of hosts, so runs of one (traffic, seed) on different graphs replay the
     same first streams: each is drawn once and held, packed eight bits to a
-    byte (`np.packbits`), while the store lives. `run` draws each host's
-    whole window with `draw`, which lets the source go and keeps the packed
-    bits only; a later read past them rebuilds the source from its key. The
-    layout is kept for the last (graph, hosts) only, as the runs of one
-    graph are consecutive, until the next layout replaces it or the owner
-    sets `_layout` to None. A `SimState` without a store makes its own, and
-    stepped on its own it extends a stream block by block, source kept.
+    byte (`np.packbits`), while the store lives. The store holds no source;
+    `draw` builds one from the key for each extension. The layout is kept
+    for the last (graph, hosts) only, as the runs of one graph are
+    consecutive, until the next layout replaces it or the owner sets
+    `_layout` to None. A `SimState` without a store makes its own.
     """
 
     def __init__(self):
-        # (traffic, seed, i) -> (source, or None once let go; packed bits)
-        self._streams: dict[tuple, tuple[ErramilliSource | None, bytearray]] = {}
+        self._streams: dict[tuple, bytearray] = {}  # (traffic, seed, i) -> packed bits
         self._layout = None
 
-    def _held(self, key: tuple, end: int) -> bytearray:
-        """Stream `key`'s packed bits, 0 .. end - 1 at least. Missing
-        bytes are drawn whole, and stored only once drawn, so a run that
-        raises leaves no half-extended stream; the source stands just past
-        the bits held. A source let go is rebuilt with the held bits added
-        to its burn-in, which steps the orbit as `bits()` would."""
-        source, packed = self._streams.get(key) or (None, bytearray())
-        missing = -(-end // 8) - len(packed)
-        if missing > 0:
-            if source is None:
+    def draw(self, keys: list[tuple], end: int) -> None:
+        """Hold bits 0 .. end - 1 at least of each stream of `keys`. The
+        missing bytes are drawn whole from a source built from the key,
+        with the held bits added to its burn-in, which steps the orbit as
+        `bits()` would; they are stored only once drawn, so a draw that
+        raises leaves no half-extended stream."""
+        for key in keys:
+            packed = self._streams.get(key, bytearray())
+            missing = -(-end // 8) - len(packed)
+            if missing > 0:
                 traffic, seed, i = key
                 child = np.random.SeedSequence(seed, spawn_key=(2 + i,))
                 source = ErramilliSource(traffic, seed=child, burn_in=_BURN_IN + 8 * len(packed))
-            packed += np.packbits(source.bits(8 * missing)).tobytes()
-            self._streams[key] = (source, packed)
-        return packed
+                packed += np.packbits(source.bits(8 * missing)).tobytes()
+                self._streams[key] = packed
 
     def bits(self, key: tuple, start: int, count: int) -> np.ndarray:
-        """Bits start .. start + count - 1 (uint8) of stream `key`, see `_held`."""
+        """Bits start .. start + count - 1 (uint8) of stream `key`, see `draw`."""
         end = start + count
-        packed = self._held(key, end)
+        self.draw([key], end)
         lo = start // 8
-        # a live frombuffer view would make the next `packed +=` raise
-        held = np.unpackbits(np.frombuffer(packed, dtype=np.uint8)[lo:], count=end - 8 * lo)
-        return held[start - 8 * lo:]
-
-    def draw(self, keys: list[tuple], count: int) -> None:
-        """Hold bits 0 .. count - 1 of each stream of `keys`, then let its
-        source go."""
-        for key in keys:
-            self._streams[key] = (None, self._held(key, count))
+        held = self._streams.get(key, b"")[lo : -(-end // 8)]
+        return np.unpackbits(np.frombuffer(held, dtype=np.uint8))[start - 8 * lo : end - 8 * lo]
 
     def layout(self, graph: Graph, hosts: list[int]):
         """(sorted hosts, routes, hops): the hosts, their `_route_tables`,
@@ -238,8 +227,8 @@ class SimState:
     neighbour, or the tuple of the closer positions (see `_route_tables`);
     hosts must reach each other. A forward decides a two-way tie inline and
     a larger one with `_route`, by the same rule and the same draws. Source
-    bits and routes come from a `_Shared` store, the state's own unless
-    `_shared` is given.
+    bits, drawn up to the last step of each `run_steps` call, and routes
+    come from a `_Shared` store, the state's own unless `_shared` is given.
     A queued packet is one int, `(created * n + src) * n + dst` for n
     vertices, so a forward reads `dst = pkt % n`; no record of a packet
     outlives its delivery. Every delivery is checked against the hop
@@ -319,8 +308,10 @@ class SimState:
     # -- dynamics ----------------------------------------------------------
 
     def run_steps(self, count: int) -> None:
-        """Advance `count` time steps, in blocks of at most _BLOCK_STEPS."""
+        """Advance `count` time steps, in blocks of at most _BLOCK_STEPS,
+        after one `_Shared.draw` of the hosts' bits up to the last step."""
         _check_int("count", count, 0)
+        self._shared.draw(self._keys, self.clock + count)
         for start in range(0, count, _BLOCK_STEPS):
             self._run_block(min(_BLOCK_STEPS, count - start))
 
@@ -470,8 +461,8 @@ def run(config: SimConfig, _shared: _Shared | None = None) -> SimMetrics:
     """Execute warmup then measurement; every host must reach every other.
 
     Before the first step, each host's bits for the whole run (warmup and
-    measurement, in whole bytes) are drawn from the store in one call, which
-    then holds them packed and lets the source go (`_Shared.draw`). Warmup
+    measurement, in whole bytes) are drawn from the store in one call
+    (`_Shared.draw`), so a fresh stream is burned in and drawn once. Warmup
     steps feed the queues; the window counts are the run totals after the
     measurement steps minus those after the warmup, so the throughput is the
     packets delivered inside the window. Deterministic per (config, seed),

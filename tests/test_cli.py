@@ -864,10 +864,10 @@ def test_fig34_sweep_draws_each_stream_and_route_once(monkeypatch):
     assert map_steps[1] > 0
     assert map_steps[0] == map_steps[1] + sum(max_hosts.values()) * (_BURN_IN + steps)
     assert route_builds[0] == len(plan.alphas) * len(plan.seeds)
-    held = sum(len(packed) for _, packed in store._streams.values())
+    held = sum(len(packed) for packed in store._streams.values())
     assert held == sum(max_hosts.values()) * math.ceil(steps / 8)
-    # each run drew its hosts' windows whole, and the store let the sources go
-    assert not any(isinstance(source, ErramilliSource) for source, _ in store._streams.values())
+    # the store holds packed bits only, no source
+    assert all(isinstance(packed, bytearray) for packed in store._streams.values())
     assert held <= len(plan.seeds) * len(plan.lambdas) * max(max_hosts.values()) * math.ceil(steps / 8)
     # a second sweep has its own store and draws every stream again
     map_steps[:] = [0, 0]
@@ -1088,7 +1088,7 @@ def test_package_imports_no_scipy():
 def test_module_layering_is_pinned():
     # each module imports only the layers below it; a new edge is a deliberate act
     layers = {
-        "graphs": set(), "traffic": set(), "load": {"graphs"}, "sim": {"graphs", "traffic"},
+        "traffic": set(), "graphs": {"traffic"}, "load": {"graphs"}, "sim": {"graphs", "traffic"},
         "cli": {"graphs", "load", "sim", "traffic"},
         "__init__": {"graphs", "load", "sim", "traffic"}, "__main__": {"cli"},
     }

@@ -268,7 +268,7 @@ def oracle_cases(draw) -> tuple[Graph, list[int]]:
 )
 def test_simulator_equals_the_reference(case, d, seed, steps, first):
     # the lower thresholds build backlogs of up to thousands of packets; the
-    # two calls of run_steps cross a block of source bits anywhere in the run
+    # two calls of run_steps cross a block of steps anywhere in the run
     g, hosts = case
     traffic = ErramilliParams(2.0, 2.0, d)
     state = SimState(g, hosts, traffic=traffic, seed=seed)
@@ -298,7 +298,7 @@ def test_replayed_streams_equal_fresh_sources(short_first, m1, m2, d, seed, firs
     # by block as run_steps does: the shorter run first, or the longer one.
     # Host i's reads equal the bits of child 2 + i of the seed's spawn. Its
     # stream holds the bits up to its furthest read end, rounded up to whole
-    # bytes, and its source ends where a fresh one does after as many bits.
+    # bytes.
     params = ErramilliParams(m1, m2, d)
     runs.sort(key=lambda r: (r[0], sum(r[1])), reverse=not short_first)
     shared = _Shared()
@@ -316,7 +316,7 @@ def test_replayed_streams_equal_fresh_sources(short_first, m1, m2, d, seed, firs
     children = np.random.SeedSequence(seed).spawn(2 + n_hosts)
     nbytes = 0
     for i, got in reads.items():
-        source, packed = shared._streams[params, seed, i]
+        packed = shared._streams[params, seed, i]
         held = 8 * math.ceil(max(clock + bits.size for clock, bits in got) / 8)
         fresh = ErramilliSource(params, seed=children[2 + i])
         want = fresh.bits(held)
@@ -324,9 +324,8 @@ def test_replayed_streams_equal_fresh_sources(short_first, m1, m2, d, seed, firs
         for clock, bits in got:
             assert bits.dtype == np.uint8
             assert np.array_equal(bits, want[clock:clock + bits.size])
-        assert source.x == fresh.x
         nbytes += held // 8
-    assert sum(len(packed) for _, packed in shared._streams.values()) == nbytes
+    assert sum(len(packed) for packed in shared._streams.values()) == nbytes
 
 
 @settings(max_examples=25)
@@ -337,10 +336,10 @@ def test_replayed_streams_equal_fresh_sources(short_first, m1, m2, d, seed, firs
                    min_size=1, max_size=3),
 )
 def test_released_streams_extend_as_fresh_sources(m1, m2, d, seed, warmup, measure, reads):
-    # `run` draws each host's window and lets its source go; its steps equal
-    # a bare state's, which extends its streams block by block. A later,
-    # longer read rebuilds the source from its key: every bit the store
-    # answers or holds, and the rebuilt source's point, are a fresh source's.
+    # `run` draws each host's window whole; its steps equal a bare state's,
+    # which draws once per run_steps call. A later, longer read extends the
+    # stream from a source built from its key: every bit the store answers
+    # or holds is a fresh source's.
     params = ErramilliParams(m1, m2, d)
     g = grid_graph(3, 4)
     config = netqsim.sim.SimConfig(graph=g, rho=0.5, traffic=params, warmup_steps=warmup,
@@ -353,9 +352,7 @@ def test_released_streams_extend_as_fresh_sources(m1, m2, d, seed, warmup, measu
     assert metrics.queue_length_timeseries == bare.queue_series
     assert metrics.generated_total == bare.generated_total
     window = math.ceil((warmup + measure) / 8)
-    assert [(source, len(packed)) for source, packed in shared._streams.values()] == (
-        [(None, window)] * len(bare.hosts)
-    )
+    assert [len(packed) for packed in shared._streams.values()] == [window] * len(bare.hosts)
     children = np.random.SeedSequence(seed).spawn(2 + len(bare.hosts))
     for i in range(len(bare.hosts)):
         key = (params, seed, i)
@@ -365,13 +362,8 @@ def test_released_streams_extend_as_fresh_sources(m1, m2, d, seed, warmup, measu
             ends.append(8 * math.ceil((start + count) / 8))
             fresh = ErramilliSource(params, seed=children[2 + i])
             assert np.array_equal(got, fresh.bits(start + count)[start:])
-        source, packed = shared._streams[key]
         fresh = ErramilliSource(params, seed=children[2 + i])
-        assert bytes(packed) == np.packbits(fresh.bits(max(ends))).tobytes()
-        if max(ends) > 8 * window:
-            assert source.x == fresh.x
-        else:
-            assert source is None
+        assert bytes(shared._streams[key]) == np.packbits(fresh.bits(max(ends))).tobytes()
 
 
 @st.composite

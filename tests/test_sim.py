@@ -14,6 +14,7 @@ from scipy.stats import spearmanr
 import netqsim
 from netqsim import (
     ErramilliParams,
+    ErramilliSource,
     GenParams,
     Graph,
     SimConfig,
@@ -209,7 +210,7 @@ def test_arrivals_wait_for_next_step():
     assert queue_length(st, 1) == 1 and queue_length(st, 2) == 0
 
 
-def test_run_steps_block_equals_single_steps():
+def test_run_steps_block_equals_single_steps(monkeypatch):
     g, _ = giant_component(
         generate_static_model(GenParams.from_avg_degree(80, 3.0, 0.5, 3))
     )
@@ -218,7 +219,18 @@ def test_run_steps_block_equals_single_steps():
     block = SimState(g, hosts, traffic=traffic, seed=8)
     single = SimState(g, hosts, traffic=traffic, seed=8)
     block.run_steps(50)
-    block.run_steps(1100)  # crosses a block boundary of the source bits
+    real_bits = ErramilliSource.bits
+    bits_calls = []
+
+    def counted_bits(source, count):
+        bits_calls.append(count)
+        return real_bits(source, count)
+
+    monkeypatch.setattr(ErramilliSource, "bits", counted_bits)
+    block.run_steps(1100)  # crosses a step block boundary
+    monkeypatch.undo()
+    # one draw per call: the bits of steps 56 .. 1151, each host's in one call
+    assert bits_calls == [1096] * len(hosts)
     for _ in range(1150):
         single.run_steps(1)
     assert block.generated_total > 0 and block.delivered_total > 0
@@ -228,12 +240,42 @@ def test_run_steps_block_equals_single_steps():
         assert getattr(block, name) == getattr(single, name), name
     assert block.link_counts == single.link_counts
     # both stores hold 1152 bits a stream: the 1150 steps rounded up to whole bytes
-    held = [
-        [(source.x, packed) for source, packed in state._shared._streams.values()]
-        for state in (block, single)
-    ]
+    held = [list(state._shared._streams.values()) for state in (block, single)]
     assert held[0] == held[1]
-    assert [len(packed) for _, packed in held[0]] == [144] * len(hosts)
+    assert [len(packed) for packed in held[0]] == [144] * len(hosts)
+
+
+def test_draw_that_raises_leaves_no_half_extended_stream(monkeypatch):
+    # a draw stores each stream once its bytes are drawn: the streams drawn
+    # before a failing source stay, the failing one keeps its bytes, and a
+    # retry answers a fresh source's bits
+    traffic = ErramilliParams(2.0, 2.0, 0.7)
+    keys = [(traffic, 5, i) for i in range(3)]
+    shared = _Shared()
+    shared.draw(keys[1:2], 20)
+    before = bytes(shared._streams[keys[1]])
+    real_bits = ErramilliSource.bits
+    bits_calls = []
+
+    def failing_bits(source, count):
+        bits_calls.append(count)
+        if len(bits_calls) == 2:
+            raise RuntimeError("source failed")
+        return real_bits(source, count)
+
+    monkeypatch.setattr(ErramilliSource, "bits", failing_bits)
+    with pytest.raises(RuntimeError, match="source failed"):
+        shared.draw(keys, 100)
+    monkeypatch.undo()
+    assert bits_calls == [104, 80]
+    assert list(shared._streams) == [keys[1], keys[0]]
+    assert len(shared._streams[keys[0]]) == 13
+    assert bytes(shared._streams[keys[1]]) == before
+    shared.draw(keys, 100)
+    for i, key in enumerate(keys):
+        fresh = ErramilliSource(traffic, seed=np.random.SeedSequence(5, spawn_key=(2 + i,)))
+        assert np.array_equal(shared.bits(key, 0, 100), fresh.bits(100))
+    assert all(isinstance(packed, bytearray) for packed in shared._streams.values())
 
 
 def test_invariant_violation_is_raised():
