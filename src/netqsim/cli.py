@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -25,6 +24,7 @@ from .traffic import (
     ErramilliParams,
     ErramilliSource,
     _check_seed,
+    _is_int,
     calibrate_d,
     default_block_sizes,
     estimate_rate,
@@ -69,7 +69,7 @@ class ExperimentPlan:
         for name, value in (
             ("n", self.n_vertices), ("warmup", self.warmup_steps), ("steps", self.measure_steps)
         ):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not _is_int(value):
                 raise ValidationError(f"{name}: {value!r} is not an integer")
         if self.n_vertices < 2:
             raise ValidationError("n: need at least 2 vertices")
@@ -88,7 +88,7 @@ class ExperimentPlan:
             if repeated:
                 raise ValidationError(f"{name}: {repeated[0]} repeated")
         for seed in self.seeds:
-            if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            if not _is_int(seed):
                 raise ValidationError(f"seeds: {seed!r} is not an integer")
             if seed < 0:
                 raise ValidationError(f"seeds: {seed} is negative")
@@ -134,7 +134,8 @@ def parse_plan(text: str, overrides: dict[str, str] | None = None) -> Experiment
     """Build a plan from `key = value` config text, then apply flag overrides.
 
     Unknown or repeated keys and malformed lines raise ParseError with the
-    line number; out-of-range values raise ValidationError naming the field.
+    line number; out-of-range values, and unknown or malformed overrides,
+    raise ValidationError naming the field.
     """
     kwargs = {}
     key_line: dict[str, int] = {}
@@ -157,6 +158,8 @@ def parse_plan(text: str, overrides: dict[str, str] | None = None) -> Experiment
         except ValueError:
             raise ParseError(lineno, f"bad value for {key!r}: {value!r}") from None
     for key, value in (overrides or {}).items():
+        if key not in _PLAN_KEYS:
+            raise ValidationError(f"{key}: unknown key")
         attr, parse = _PLAN_KEYS[key]
         try:
             kwargs[attr] = parse(value)

@@ -10,7 +10,6 @@ rising delivery times; nothing is ever dropped.
 from __future__ import annotations
 
 import math
-import numbers
 import random
 from array import array
 from bisect import insort
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import UNREACHABLE, Graph, _csr, _hop_distances
-from .traffic import _BURN_IN, ErramilliParams, ErramilliSource, _check_int
+from .traffic import _BURN_IN, ErramilliParams, ErramilliSource, _check_int, _is_int
 
 
 # Steps per block of SimState.run_steps; bounds the spawn lists a block
@@ -165,15 +164,18 @@ class _Shared:
         self._layout = None
 
     def draw(self, keys: list[tuple], end: int) -> None:
-        """Hold bits 0 .. end - 1 at least of each stream of `keys`. The
-        missing bytes are drawn whole from a source built from the key,
-        with the held bits added to its burn-in, which steps the orbit as
-        `bits()` would; they are stored only once drawn, so a draw that
-        raises leaves no half-extended stream."""
+        """Hold bits 0 .. end - 1 at least of each stream of `keys`. A
+        stream that falls short grows to `end` bits, or to twice its held
+        bytes if that is more, so T steps read a few at a time cost O(T)
+        map steps, not O(T^2). The missing bytes are drawn whole from a
+        source built from the key, with the held bits added to its burn-in,
+        which steps the orbit as `bits()` would; they are stored only once
+        drawn, so a draw that raises leaves no half-extended stream."""
         for key in keys:
             packed = self._streams.get(key, bytearray())
             missing = -(-end // 8) - len(packed)
             if missing > 0:
+                missing = max(missing, len(packed))
                 traffic, seed, i = key
                 child = np.random.SeedSequence(seed, spawn_key=(2 + i,))
                 source = ErramilliSource(traffic, seed=child, burn_in=_BURN_IN + 8 * len(packed))
@@ -254,7 +256,7 @@ class SimState:
         if len(hosts) < 2:
             raise TooFewHosts("need at least 2 hosts")
         for h in hosts:
-            if isinstance(h, bool) or not isinstance(h, numbers.Integral):
+            if not _is_int(h):
                 raise ValueError(f"hosts must be integer vertex indices, got {h!r}")
         if len(set(hosts)) != len(hosts) or not all(0 <= h < n for h in hosts):
             raise ValueError("hosts must be distinct vertex indices")

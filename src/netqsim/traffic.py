@@ -89,10 +89,11 @@ class ErramilliSource:
         once per call; IEEE 754 rounds `*` and `/` correctly, so at
         m1 = m2 = 2, the default, the orbit is the same on every conforming
         platform. Other exponents use scalar `**`, and their orbits depend
-        on the C library's `pow`. One kernel, split by regime, takes the
-        steps of every pair. The scalar reference in the tests follows the
-        same rule, bit for bit; numpy's vectorised power would differ in the
-        last bits, and the chaotic orbit amplifies that.
+        on the C library's `pow`. One kernel steps every pair: products-only
+        run loops at exponent 2, the full rule at every step elsewhere. The
+        scalar reference in the tests follows the same rule, bit for bit;
+        numpy's vectorised power would differ in the last bits, and the
+        chaotic orbit amplifies that.
         """
         _check_int("count", count, 0)
         out = bytearray(count)
@@ -111,17 +112,16 @@ class ErramilliSource:
 
 
 def _orbit_kernel(p: ErramilliParams, x: float, out: bytearray, rand) -> float:
-    """Writes the bits of len(out) steps from x and returns the last point,
-    split by regime.
+    """Writes the bits of len(out) steps from x and returns the last point.
 
-    Each sojourn starts with one step by the full rule, which also leaves
-    an endpoint trap; the run then steps its own branch only, in a loop
-    chosen once per run by that branch's exponent, and checks only when it
-    leaves the branch. An Off step adds a term >= 0, so from above
-    _ENDPOINT_EPS it cannot land near 0; an On step subtracts one, so from
-    below 1 - _ENDPOINT_EPS it cannot land near 1. A run stops past `top`
-    (Off) or at `bot` (On): on crossing d, or on entering the other trap
-    when d lies inside it. Every step thus takes the full rule's result.
+    A branch at an exponent other than 2 takes every step by the full rule
+    at the top of the loop, which applies both endpoint traps. A branch at
+    exponent 2 takes one such step per sojourn, then runs on products only
+    and checks only when it leaves the branch. An Off step adds a term >= 0,
+    so from above _ENDPOINT_EPS it cannot land near 0; an On step subtracts
+    one, so from below 1 - _ENDPOINT_EPS it cannot land near 1. A run stops
+    past `top` (Off) or at `bot` (On): on crossing d, or on entering the
+    other trap when d lies inside it. Every step takes the full rule's result.
     """
     d, m1, m2 = p.d, p.m1, p.m2
     omd = 1.0 - d
@@ -143,51 +143,36 @@ def _orbit_kernel(p: ErramilliParams, x: float, out: bytearray, rand) -> float:
         elif x <= _ENDPOINT_EPS:
             x = d * rand()
         if x <= d:
-            if x > _ENDPOINT_EPS:
-                if sq1:
-                    for i in steps:  # an Off run
-                        x += c1 * x * x
-                        if x > top:
-                            if x >= hi:
-                                x = d + omd * rand()
-                            out[i] = x > d
-                            break
-                else:
-                    for i in steps:
-                        x += omd * (x / d) ** m1
-                        if x > top:
-                            if x >= hi:
-                                x = d + omd * rand()
-                            out[i] = x > d
-                            break
+            if sq1 and x > _ENDPOINT_EPS:
+                for i in steps:  # an Off run
+                    x += c1 * x * x
+                    if x > top:
+                        if x >= hi:
+                            x = d + omd * rand()
+                        out[i] = x > d
+                        break
         else:
             out[i] = 1
-            if x < hi:
-                if sq2:
-                    for i in steps:  # an On run
-                        y = 1.0 - x
-                        x -= c2 * y * y
-                        if x <= bot:
-                            if x <= _ENDPOINT_EPS:
-                                x = d * rand()
-                            break
-                        out[i] = 1
-                else:
-                    for i in steps:
-                        y = 1.0 - x
-                        x -= d * (y / omd) ** m2
-                        if x <= bot:
-                            if x <= _ENDPOINT_EPS:
-                                x = d * rand()
-                            break
-                        out[i] = 1
+            if sq2 and x < hi:
+                for i in steps:  # an On run
+                    y = 1.0 - x
+                    x -= c2 * y * y
+                    if x <= bot:
+                        if x <= _ENDPOINT_EPS:
+                            x = d * rand()
+                        break
+                    out[i] = 1
     return x
 
 
+def _is_int(value) -> bool:
+    """Whether `value` is an integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_int(name: str, value, low: int) -> None:
-    """Raise ValueError unless `value` is an integer >= `low`; a bool is
-    not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+    """Raise ValueError unless `value` is an integer >= `low` (`_is_int`)."""
+    if not _is_int(value) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 

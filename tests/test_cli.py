@@ -113,6 +113,11 @@ def test_flag_overrides_beat_config():
     assert plan.alphas == [1.0]
 
 
+def test_unknown_override_names_its_key():
+    with pytest.raises(ValidationError, match="^bogus: unknown key$"):
+        parse_plan("", {"bogus": "1"})
+
+
 def test_validation_errors_name_the_field():
     with pytest.raises(ValidationError, match="rho"):
         parse_plan("rho = 1.5\n")

@@ -297,8 +297,9 @@ def test_replayed_streams_equal_fresh_sources(short_first, m1, m2, d, seed, firs
     # Two runs of one seed, on different host counts, read one store block
     # by block as run_steps does: the shorter run first, or the longer one.
     # Host i's reads equal the bits of child 2 + i of the seed's spawn. Its
-    # stream holds the bits up to its furthest read end, rounded up to whole
-    # bytes.
+    # stream holds a fresh source's bits up to its furthest read end, rounded
+    # up to whole bytes, and less than twice that: a stream that falls short
+    # grows to the read's end or to twice its held bytes.
     params = ErramilliParams(m1, m2, d)
     runs.sort(key=lambda r: (r[0], sum(r[1])), reverse=not short_first)
     shared = _Shared()
@@ -314,18 +315,17 @@ def test_replayed_streams_equal_fresh_sources(short_first, m1, m2, d, seed, firs
                 clock += k
     n_hosts = first + max(h for h, _ in runs)
     children = np.random.SeedSequence(seed).spawn(2 + n_hosts)
-    nbytes = 0
     for i, got in reads.items():
         packed = shared._streams[params, seed, i]
-        held = 8 * math.ceil(max(clock + bits.size for clock, bits in got) / 8)
+        need = math.ceil(max(clock + bits.size for clock, bits in got) / 8)
+        assert need <= len(packed) < 2 * need
         fresh = ErramilliSource(params, seed=children[2 + i])
-        want = fresh.bits(held)
+        want = fresh.bits(8 * len(packed))
         assert bytes(packed) == np.packbits(want).tobytes()
         for clock, bits in got:
             assert bits.dtype == np.uint8
             assert np.array_equal(bits, want[clock:clock + bits.size])
-        nbytes += held // 8
-    assert sum(len(packed) for packed in shared._streams.values()) == nbytes
+    assert len(shared._streams) == len(reads)
 
 
 @settings(max_examples=25)
@@ -338,8 +338,9 @@ def test_replayed_streams_equal_fresh_sources(short_first, m1, m2, d, seed, firs
 def test_released_streams_extend_as_fresh_sources(m1, m2, d, seed, warmup, measure, reads):
     # `run` draws each host's window whole; its steps equal a bare state's,
     # which draws once per run_steps call. A later, longer read extends the
-    # stream from a source built from its key: every bit the store answers
-    # or holds is a fresh source's.
+    # stream from a source built from its key, to the read's end or to twice
+    # the held bytes: every bit the store answers or holds is a fresh
+    # source's.
     params = ErramilliParams(m1, m2, d)
     g = grid_graph(3, 4)
     config = netqsim.sim.SimConfig(graph=g, rho=0.5, traffic=params, warmup_steps=warmup,
@@ -362,8 +363,10 @@ def test_released_streams_extend_as_fresh_sources(m1, m2, d, seed, warmup, measu
             ends.append(8 * math.ceil((start + count) / 8))
             fresh = ErramilliSource(params, seed=children[2 + i])
             assert np.array_equal(got, fresh.bits(start + count)[start:])
+        packed = shared._streams[key]
+        assert max(ends) <= 8 * len(packed) < 2 * max(ends)
         fresh = ErramilliSource(params, seed=children[2 + i])
-        assert bytes(shared._streams[key]) == np.packbits(fresh.bits(max(ends))).tobytes()
+        assert bytes(packed) == np.packbits(fresh.bits(8 * len(packed))).tobytes()
 
 
 @st.composite
@@ -380,8 +383,9 @@ _EXPONENTS = st.one_of(st.just(2.0), st.floats(1.5, 2.0))
 
 
 @settings(max_examples=300)
-# d within _ENDPOINT_EPS of 1 (of 0), and an Off (On) run at `**` that
-# creeps from 2e-12 off the endpoint into its trap
+# d within _ENDPOINT_EPS of 1 (of 0), and an Off (On) branch at `**`,
+# stepped by the full rule, that creeps from 2e-12 off the endpoint into
+# its trap
 @example(m1=1.5, m2=2.0, d=1.0 - 2.0**-45, side="off", at=1.0 - 2e-12, seed=0,
          sizes=[1, 2999])
 @example(m1=2.0, m2=1.75, d=1e-13, side="on", at=2e-12, seed=0, sizes=[1, 2999])

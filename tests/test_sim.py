@@ -28,6 +28,7 @@ from netqsim import (
 )
 from netqsim.graphs import all_pairs_hop_distances
 from netqsim.sim import InvariantViolation, SimState, _Shared
+from netqsim.traffic import _BURN_IN
 from _helpers import (
     assert_equals_reference, complete_graph, cycle_graph, decoded_routes, pack, path_graph,
     queue_length, queued, reference_run, star_graph, unpack,
@@ -210,14 +211,19 @@ def test_arrivals_wait_for_next_step():
     assert queue_length(st, 1) == 1 and queue_length(st, 2) == 0
 
 
-def test_run_steps_block_equals_single_steps(monkeypatch):
+def _bare_states(count):
+    """`count` fresh bare states of one graph, hosts, traffic and seed."""
     g, _ = giant_component(
         generate_static_model(GenParams.from_avg_degree(80, 3.0, 0.5, 3))
     )
     hosts = assign_hosts(g, 0.3, 3)
     traffic = ErramilliParams(2.0, 2.0, 0.7)
-    block = SimState(g, hosts, traffic=traffic, seed=8)
-    single = SimState(g, hosts, traffic=traffic, seed=8)
+    return [SimState(g, hosts, traffic=traffic, seed=8) for _ in range(count)]
+
+
+def test_run_steps_block_equals_single_steps(monkeypatch):
+    block, single = _bare_states(2)
+    hosts = block.hosts
     block.run_steps(50)
     real_bits = ErramilliSource.bits
     bits_calls = []
@@ -239,10 +245,34 @@ def test_run_steps_block_equals_single_steps(monkeypatch):
                  "max_queue"):
         assert getattr(block, name) == getattr(single, name), name
     assert block.link_counts == single.link_counts
-    # both stores hold 1152 bits a stream: the 1150 steps rounded up to whole bytes
+    # the block state holds 1152 bits a stream, the 1150 steps rounded up to
+    # whole bytes; the single-step one doubled each stream as it fell short
+    # (1, 2, 4 .. 256 bytes), and its first 144 bytes are the block's
     held = [list(state._shared._streams.values()) for state in (block, single)]
-    assert held[0] == held[1]
     assert [len(packed) for packed in held[0]] == [144] * len(hosts)
+    assert [len(packed) for packed in held[1]] == [256] * len(hosts)
+    assert [packed[:144] for packed in held[1]] == held[0]
+
+
+def test_one_step_calls_replay_streams_in_linear_time(monkeypatch):
+    # each extension rebuilds a host's source and replays its held bits as
+    # burn-in; doubling the held bytes keeps the map steps of T one-step
+    # calls within a small multiple of (burn-in + T) per host, where an
+    # extension to the next byte costs about T^2 / 16
+    (state,) = _bare_states(1)
+    real_orbit = ErramilliSource._orbit
+    steps = []
+
+    def counted_orbit(source, count):
+        steps.append(count)
+        return real_orbit(source, count)
+
+    monkeypatch.setattr(ErramilliSource, "_orbit", counted_orbit)
+    for _ in range(1150):
+        state.run_steps(1)
+    monkeypatch.undo()
+    assert state.clock == 1150
+    assert sum(steps) <= 8 * (_BURN_IN + 1150) * len(state.hosts)
 
 
 def test_draw_that_raises_leaves_no_half_extended_stream(monkeypatch):

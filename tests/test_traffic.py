@@ -120,9 +120,10 @@ def test_endpoint_traps_are_left_on_their_own_side():
         assert src.x == ref.x and 0.0 < src.x < 1.0
 
 
-# the kernel's four run loops, an Off and an On run each at exponent 2
-# (`c * y * y`) and at another (`**`): square on both branches, `**` on
-# both, and either mix
+# the kernel's two run loops, an Off and an On run at exponent 2
+# (`c * y * y`), and the full rule, which takes every step of a branch at
+# another exponent (`**`): square on both branches, `**` on both, and
+# either mix
 MAP_PAIRS = [(2.0, 2.0), (1.5, 1.5), (2.0, 1.5), (1.75, 2.0)]
 
 
